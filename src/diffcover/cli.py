@@ -22,7 +22,7 @@ from .core import (
     to_reduced,
     write_array,
 )
-from .construct import NoMethod, UnknownOrder, construct_by_method, spectrum_report
+from .construct import METHODS, NoMethod, construct_by_method, spectrum_report
 from .latin import (
     check_row_complete,
     classify_pair,
@@ -39,7 +39,9 @@ from .search import (
     search_third_column,
 )
 from .verify import (
+    BadHole,
     BadShape,
+    CertificationFailed,
     OddOrderStrict,
     VerificationReport,
     verify_dca,
@@ -85,7 +87,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     try:
         arr, tag = construct_by_method(args.order, args.method)
-    except (NoMethod, UnknownOrder) as exc:
+    except NoMethod as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_RESULT
     report = verify_dca(arr, strict=True)
@@ -131,7 +133,8 @@ def _status_stream(stream: TextIO):
 
 def _emit_array(arr: ResidueArray, report: VerificationReport, fmt: str) -> None:
     # Emission of an unverified array is a bug, not a user error.
-    assert report.passed, "attempted to emit a failing array"
+    if not report.passed:
+        raise CertificationFailed(f"attempted to emit a failing array: {report.to_json()}")
     sys.stdout.write(write_array(arr, fmt=fmt))
 
 
@@ -143,9 +146,12 @@ def cmd_search(args: argparse.Namespace) -> int:
         except ValueError:
             print(f"error: --hdm expects n,h, got {args.hdm!r}", file=sys.stderr)
             return EXIT_USAGE
-        cfg = SearchConfig(order=n, node_budget=args.budget, status_interval=args.status_interval)
         try:
+            cfg = SearchConfig(order=n, node_budget=args.budget, status_interval=args.status_interval)
             arr = search_hdm(n, h, cfg, status=status)
+        except (BadHole, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         except (BudgetExhausted, NoSolution) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_NO_RESULT
@@ -158,14 +164,17 @@ def cmd_search(args: argparse.Namespace) -> int:
     if n % 2 or n < 6:
         print(f"error: order must be even and at least 6, got {n}", file=sys.stderr)
         return EXIT_USAGE
-    cfg = SearchConfig(
-        order=n,
-        node_budget=args.budget,
-        result_limit=args.limit,
-        status_interval=args.status_interval,
-    )
     try:
+        cfg = SearchConfig(
+            order=n,
+            node_budget=args.budget,
+            result_limit=args.limit,
+            status_interval=args.status_interval,
+        )
         columns = search_third_column(cfg, status=status)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (BudgetExhausted, InfeasibleFixedColumns) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_RESULT
@@ -210,11 +219,12 @@ def cmd_latin(args: argparse.Namespace) -> int:
     except NotNormalized as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    indices = (
-        list(range(reduced.columns)) if args.square == "all" else [int(args.square)]
-    )
-    if any(not 0 <= s < reduced.columns for s in indices):
-        print(f"error: square index outside [0, {reduced.columns})", file=sys.stderr)
+    if args.square == "all":
+        indices = list(range(reduced.columns))
+    elif args.square.isdecimal() and int(args.square) < reduced.columns:
+        indices = [int(args.square)]
+    else:
+        print(f"error: --square must be 'all' or an index in [0, {reduced.columns})", file=sys.stderr)
         return EXIT_USAGE
     squares = [latin_from_dca(reduced, s) for s in indices]
     n = reduced.order
@@ -281,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="construct a strict DCA of a given order")
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--method", choices=["auto", "odd-f", "four-m", "six-mu", "table"], default="auto")
+    p.add_argument("--method", choices=["auto"] + [m.name for m in METHODS], default="auto")
     p.add_argument("--out", default="-")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_construct)
@@ -324,8 +334,16 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CertificationFailed as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
 
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

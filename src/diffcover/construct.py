@@ -11,12 +11,13 @@ Constructors validate their parameters; the verifiers in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from math import gcd, isqrt
+from typing import Callable, NamedTuple
 
 from . import tables
 from .core import DesignError, Form, Kind, ResidueArray, to_full
-from .verify import OddOrderStrict, verify_dca, verify_dm, verify_hdm
+from .verify import CertificationFailed, OddOrderStrict, verify_dca, verify_dm, verify_hdm
 
 
 class BadParams(DesignError):
@@ -25,10 +26,6 @@ class BadParams(DesignError):
 
 class BadIndex(BadParams):
     """Family index outside the admissible residue classes."""
-
-
-class UnknownOrder(DesignError):
-    """No stored table for this order."""
 
 
 class NotPrime(DesignError):
@@ -48,7 +45,7 @@ class MismatchedK(DesignError):
 
 
 class NoMethod(DesignError):
-    """No implemented family covers the requested order."""
+    """No implemented method covers the requested order."""
 
 
 @dataclass(frozen=True)
@@ -57,7 +54,6 @@ class OddFamilyParams:
 
     m: int
     f: int
-    i: int | None = None
 
     def __post_init__(self) -> None:
         m, f = self.m, self.f
@@ -83,7 +79,6 @@ class FourMFamilyParams:
 
     m: int
     f: int
-    k: int | None = None
 
     def __post_init__(self) -> None:
         m, f = self.m, self.f
@@ -167,7 +162,7 @@ def params_odd(i: int) -> OddFamilyParams:
     if i < 0 or i % 3 == 2:
         raise BadIndex(f"index must be non-negative and not 2 mod 3, got {i}")
     m = 2 * (2 * i * i + 7 * i + 6) + 1
-    return OddFamilyParams(m, m + 3 + 2 * i, i)
+    return OddFamilyParams(m, m + 3 + 2 * i)
 
 
 def construct_4m_general(m: int, f: int) -> ResidueArray:
@@ -230,7 +225,8 @@ def construct_6mu(mu: int) -> ResidueArray:
             c = alpha * (3 * mu + 4) + 5 * mu + 4
             rows.append((a % n, b % n, c % n))
     arr = _reduced_dca(n, rows)
-    assert sorted(arr.column(0)) == list(range(n))
+    if sorted(arr.column(0)) != list(range(n)):
+        raise CertificationFailed(f"six-mu column 0 is not a permutation at order {n}")
     return arr
 
 
@@ -246,7 +242,7 @@ def construct_from_table(order: int) -> ResidueArray:
             tables.SEARCHED_THIRD_COLUMNS[order],
         )
     else:
-        raise UnknownOrder(f"no stored table for order {order}")
+        raise NoMethod(f"no stored table for order {order}")
     return _reduced_dca(order, list(zip(*cols)))
 
 
@@ -304,7 +300,8 @@ def insert_hole(hdm: ResidueArray, dca_hole: ResidueArray) -> ResidueArray:
     u = n // h
     embedded = tuple(tuple((v * u) % n for v in row) for row in full_hole.entries)
     out = ResidueArray(Kind.DCA, n, 0, Form.FULL, hdm.entries + embedded)
-    assert verify_dca(out, strict=True).passed, "hole insertion produced an invalid DCA"
+    if not verify_dca(out, strict=True).passed:
+        raise CertificationFailed("hole insertion produced an invalid DCA")
     return out
 
 
@@ -327,7 +324,8 @@ def hdm_product(hdm: ResidueArray, dm: ResidueArray) -> ResidueArray:
             rows.append(tuple((a + n * b) % big for a, b in zip(arow, brow)))
     out = ResidueArray.from_rows(Kind.HDM, big, rows, hole=hdm.hole * dm.order)
     # The product formula is not trusted: every output is re-certified.
-    assert verify_hdm(out).passed, "product produced an invalid HDM"
+    if not verify_hdm(out).passed:
+        raise CertificationFailed("product produced an invalid HDM")
     return out
 
 
@@ -367,87 +365,65 @@ def dca_product(dm_a: ResidueArray, dm_b: ResidueArray, dca_b: ResidueArray) -> 
             rows.append(tuple((n * full_c.entries[ip][j]) % big for j in range(k)))
     rows.append(tuple((n * full_c.entries[np_][j]) % big for j in range(k)))
     out = ResidueArray.from_rows(Kind.DCA, big, rows)
-    assert verify_dca(out, strict=True).passed, "product produced an invalid DCA"
+    if not verify_dca(out, strict=True).passed:
+        raise CertificationFailed("product produced an invalid DCA")
     return out
 
 
-def _invert_odd_index(order: int) -> int | None:
-    """Solve 2(2i^2+7i+6)+1 = order/2 for an admissible integer i."""
-    m2 = order // 2
-    if m2 % 2 == 0 or (m2 - 1) % 2:
+def _odd_f_index(order: int) -> int | None:
+    # order = 2m with m = 2(2i^2+7i+6)+1 exactly when 2*order - 3 = (4i+7)^2.
+    i = (isqrt(max(2 * order - 3, 0)) - 7) // 4
+    try:
+        return i if 2 * params_odd(i).m == order else None
+    except BadIndex:
         return None
-    k = (m2 - 1) // 2
-    disc = 8 * k + 1
-    s = isqrt(disc)
-    if s * s != disc or (s - 7) % 4:
-        return None
-    i = (s - 7) // 4
-    if i < 0 or i % 3 == 2:
-        return None
-    return i
 
 
-def construct_auto(order: int) -> tuple[ResidueArray, str]:
-    """Construct a reduced strict DCA of the given even order by the first
-    applicable method: stored table, odd-f family, four-m family, six-mu
-    family.  Returns the array and a method tag."""
-    if order % 2 or order < 6:
-        raise ValueError(f"order must be even and at least 6, got {order}")
-    if order in tables.TABLE_ORDERS:
-        return construct_from_table(order), "table"
-    i = _invert_odd_index(order)
-    if i is not None:
-        params = params_odd(i)
-        return construct_odd(params.m, params.f), f"odd-f i={i}"
-    if order % 16 == 8:
-        k = (order - 8) // 16
-        if k % 3 != 1:
-            return construct_4m(k), f"four-m k={k}"
-    if order % 12 == 10:
-        mu = (order - 4) // 6
-        return construct_6mu(mu), f"six-mu mu={mu}"
-    raise NoMethod(f"no implemented family covers order {order}")
+def _four_m_index(order: int) -> int | None:
+    k = (order - 8) // 16
+    return k if order % 16 == 8 and k % 3 != 1 else None
+
+
+class Method(NamedTuple):
+    """A direct construction.  ``params_for(order)`` is the parameter with
+    which the family covers an even order, or None; ``label`` names that
+    parameter in the method tag, which is the bare name when it is empty."""
+
+    name: str
+    params_for: Callable[[int], int | None]
+    build: Callable[[int], ResidueArray]
+    label: str = ""
+
+
+# In priority order: automatic dispatch takes the first method that covers
+# an order.
+METHODS: tuple[Method, ...] = (
+    Method("table", lambda order: order if order in tables.TABLE_ORDERS else None, construct_from_table),
+    Method("odd-f", _odd_f_index, lambda i: construct_odd(*astuple(params_odd(i))), "i"),
+    Method("four-m", _four_m_index, construct_4m, "k"),
+    Method("six-mu", lambda order: (order - 4) // 6 if order % 12 == 10 else None, construct_6mu, "mu"),
+)
 
 
 def construct_by_method(order: int, method: str = "auto") -> tuple[ResidueArray, str]:
-    """Construct by a named method: auto, table, odd-f, four-m or six-mu."""
+    """Construct a reduced strict DCA of an even order by a named method,
+    or by the first method in ``METHODS`` that covers it when ``method`` is
+    "auto".  Returns the array and a method tag."""
     if order % 2 or order < 6:
         raise ValueError(f"order must be even and at least 6, got {order}")
-    if method == "auto":
-        return construct_auto(order)
-    if method == "table":
-        return construct_from_table(order), "table"
-    if method == "odd-f":
-        i = _invert_odd_index(order)
-        if i is None:
-            raise NoMethod(f"odd-f family does not cover order {order}")
-        params = params_odd(i)
-        return construct_odd(params.m, params.f), f"odd-f i={i}"
-    if method == "four-m":
-        if order % 16 != 8 or ((order - 8) // 16) % 3 == 1:
-            raise NoMethod(f"four-m family does not cover order {order}")
-        k = (order - 8) // 16
-        return construct_4m(k), f"four-m k={k}"
-    if method == "six-mu":
-        if order % 12 != 10:
-            raise NoMethod(f"six-mu family does not cover order {order}")
-        mu = (order - 4) // 6
-        return construct_6mu(mu), f"six-mu mu={mu}"
-    raise ValueError(f"unknown method {method!r}")
+    candidates = METHODS if method == "auto" else [m for m in METHODS if m.name == method]
+    if not candidates:
+        raise ValueError(f"unknown method {method!r}")
+    for m in candidates:
+        params = m.params_for(order)
+        if params is not None:
+            return m.build(params), f"{m.name} {m.label}={params}" if m.label else m.name
+    raise NoMethod(f"no {'implemented' if method == 'auto' else method} family covers order {order}")
 
 
 def methods_for_order(order: int) -> tuple[str, ...]:
-    """All direct methods applicable to an even order (without building)."""
-    out = []
-    if order in tables.TABLE_ORDERS:
-        out.append("table")
-    if _invert_odd_index(order) is not None:
-        out.append("odd-f")
-    if order % 16 == 8 and ((order - 8) // 16) % 3 != 1:
-        out.append("four-m")
-    if order % 12 == 10:
-        out.append("six-mu")
-    return tuple(out)
+    """Names of all methods that cover an even order (without building)."""
+    return tuple(m.name for m in METHODS if m.params_for(order) is not None)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Residue arithmetic and the shared array model for difference designs.
+"""The shared array model for difference designs.
 
 One rectangular array type carries the three design kinds used throughout:
 difference matrices (DM), holey difference matrices (HDM) and difference
@@ -36,52 +36,6 @@ class Kind(str, Enum):
 class Form(str, Enum):
     FULL = "full"
     REDUCED = "reduced"
-
-
-@dataclass(frozen=True)
-class Residue:
-    """Canonical representative of an integer modulo a fixed positive n.
-
-    All arithmetic reduces back into [0, n); mixing two residues requires
-    equal moduli.
-    """
-
-    value: int
-    modulus: int
-
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be positive, got {self.modulus}")
-        object.__setattr__(self, "value", self.value % self.modulus)
-
-    def _coerce(self, other: Residue | int) -> int:
-        if isinstance(other, Residue):
-            if other.modulus != self.modulus:
-                raise ValueError(f"modulus mismatch: {self.modulus} vs {other.modulus}")
-            return other.value
-        return int(other)
-
-    def __add__(self, other: Residue | int) -> Residue:
-        return Residue(self.value + self._coerce(other), self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: Residue | int) -> Residue:
-        return Residue(self.value - self._coerce(other), self.modulus)
-
-    def __rsub__(self, other: Residue | int) -> Residue:
-        return Residue(self._coerce(other) - self.value, self.modulus)
-
-    def __mul__(self, other: Residue | int) -> Residue:
-        return Residue(self.value * self._coerce(other), self.modulus)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> Residue:
-        return Residue(-self.value, self.modulus)
-
-    def __int__(self) -> int:
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -164,10 +118,6 @@ class DiffMultiset:
 
     modulus: int
     counts: dict[int, int]
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
 
     def __getitem__(self, d: int) -> int:
         return self.counts.get(d % self.modulus, 0)

@@ -3,7 +3,6 @@ and row-complete column orderings."""
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -53,16 +52,6 @@ class PairProfile:
 
     def count(self, a: int, b: int) -> int:
         return self.flat[a * self.order + b]
-
-    @property
-    def total(self) -> int:
-        return sum(self.flat)
-
-    def as_counter(self) -> Counter[tuple[int, int]]:
-        n = self.order
-        return Counter(
-            {(i // n, i % n): c for i, c in enumerate(self.flat) if c}
-        )
 
 
 class Classification(str, Enum):

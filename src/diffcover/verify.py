@@ -28,6 +28,10 @@ class OddOrderStrict(DesignError):
     """Strict DCA checks require even order (the forced repeat is n/2)."""
 
 
+class CertificationFailed(DesignError):
+    """An array about to be returned or emitted failed its verification."""
+
+
 @dataclass(frozen=True)
 class Witness:
     """Location of a violation: column pair or single column, offending

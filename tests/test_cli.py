@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import diffcover
 from diffcover.cli import main
 from diffcover.construct import construct_odd
 from diffcover.core import read_array, write_array
@@ -119,9 +124,17 @@ def test_search_hdm_no_solution(capsys):
 
 
 def test_search_usage(capsys):
-    assert main(["search"]) == 2
-    assert main(["search", "--hdm", "banana"]) == 2
-    assert main(["search", "--order", "9"]) == 2
+    for argv in (
+        [],
+        ["--hdm", "banana"],
+        ["--order", "9"],
+        ["--hdm", "10,0"],
+        ["--hdm", "11,2"],
+        ["--order", "6", "--budget", "0"],
+        ["--order", "6", "--limit", "0"],
+    ):
+        assert main(["search", *argv]) == 2, argv
+        assert "error:" in capsys.readouterr().err, argv
 
 
 def test_latin_classify(b_file, capsys):
@@ -154,6 +167,9 @@ def test_latin_single_square(b_file, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert captured.out.startswith("kind=LS n=6\n1 2 3 4 5 0\n")
+    for bad in ("x", "3", "-1"):
+        assert main(["latin", b_file, "--square", bad]) == 2, bad
+        assert "error:" in capsys.readouterr().err, bad
 
 
 def test_latin_rejects_failing_input(tmp_path, capsys):
@@ -202,3 +218,34 @@ def test_stdout_byte_identical(b_file, capsys):
 
 def test_help_exits_zero():
     assert main(["--help"]) == 0
+
+
+def _run_python(*args: str, stdin: str = "") -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(Path(diffcover.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, *args], input=stdin, capture_output=True, text=True, env=env, timeout=60
+    )
+
+
+def test_python_m_matches_main(capsys):
+    code = main(["construct", "--order", "26"])
+    want = capsys.readouterr().out
+    proc = _run_python("-m", "diffcover", "construct", "--order", "26")
+    assert (proc.returncode, proc.stdout) == (code, want)
+
+
+def test_emit_array_check_survives_optimize():
+    # Under -O a failing report must still stop emission.
+    script = (
+        "import sys\n"
+        "from diffcover.cli import _emit_array\n"
+        "from diffcover.core import read_array\n"
+        "from diffcover.verify import verify_dca\n"
+        "arr = read_array(sys.stdin.read())\n"
+        "_emit_array(arr, verify_dca(arr, strict=True), 'text')\n"
+    )
+    bad = write_array(mutate(read_array(B_TEXT), 0, 1, 2))
+    proc = _run_python("-O", "-c", script, stdin=bad)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "CertificationFailed" in proc.stderr

@@ -15,11 +15,9 @@ from diffcover.construct import (
     NotPrime,
     OddFamilyParams,
     TooManyColumns,
-    UnknownOrder,
     construct_4m,
     construct_4m_general,
     construct_6mu,
-    construct_auto,
     construct_by_method,
     construct_from_table,
     construct_odd,
@@ -145,7 +143,7 @@ def test_construct_from_table(b_reduced):
     assert t24.column(2)[:6] == (2, 0, 3, 1, 14, 21)
     t54 = construct_from_table(54)
     assert t54.column(2)[-4:] == (10, 43, 29, 8)
-    with pytest.raises(UnknownOrder):
+    with pytest.raises(NoMethod):
         construct_from_table(26)
 
 
@@ -250,21 +248,21 @@ def test_no_cyclic_dm_6_3():
 
 def test_construct_auto_dispatch():
     for order, want in [(26, "odd-f i=0"), (34, "six-mu mu=5"), (24, "table"), (8, "four-m k=0")]:
-        arr, tag = construct_auto(order)
+        arr, tag = construct_by_method(order)
         assert tag == want
         assert verify_dca(arr, strict=True).passed
     with pytest.raises(NoMethod):
-        construct_auto(64)
+        construct_by_method(64)
     with pytest.raises(ValueError):
-        construct_auto(7)
+        construct_by_method(7)
     with pytest.raises(ValueError):
-        construct_auto(4)
+        construct_by_method(4)
 
 
 def test_construct_by_method():
     arr, tag = construct_by_method(26, "odd-f")
     assert tag == "odd-f i=0"
-    with pytest.raises(UnknownOrder):
+    with pytest.raises(NoMethod):
         construct_by_method(26, "table")
     with pytest.raises(NoMethod):
         construct_by_method(24, "four-m")
@@ -278,6 +276,26 @@ def test_methods_for_order():
     assert methods_for_order(34) == ("six-mu",)
     assert methods_for_order(40) == ("four-m",)
     assert methods_for_order(64) == ()
+
+
+def test_registry_agrees_with_construction():
+    # methods_for_order names exactly the methods that build a strict DCA,
+    # in priority order, and auto dispatch returns the first of them.
+    for order in range(6, 1001, 2):
+        built = {}
+        for name in ("table", "odd-f", "four-m", "six-mu"):
+            try:
+                arr, tag = construct_by_method(order, name)
+            except NoMethod:
+                continue
+            if verify_dca(arr, strict=True).passed:
+                built[name] = (arr, tag)
+        assert methods_for_order(order) == tuple(built), order
+        if built:
+            assert construct_by_method(order) == next(iter(built.values())), order
+        else:
+            with pytest.raises(NoMethod):
+                construct_by_method(order)
 
 
 def test_spectrum_report():

@@ -1,17 +1,14 @@
-"""Core model: residues, difference multisets, forms, serialization."""
+"""Core model: difference multisets, forms, serialization."""
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from diffcover.core import (
     Form,
     Kind,
     NotNormalized,
     ParseError,
-    Residue,
     ResidueArray,
     diff_multiset,
     read_array,
@@ -23,42 +20,10 @@ from diffcover.core import (
 from conftest import B_TEXT, mutate
 
 
-@given(st.integers(), st.integers(min_value=1, max_value=10**6))
-def test_residue_canonical(value, modulus):
-    r = Residue(value, modulus)
-    assert 0 <= r.value < modulus
-
-
-@given(
-    st.integers(min_value=-100, max_value=100),
-    st.integers(min_value=-100, max_value=100),
-    st.integers(min_value=1, max_value=97),
-)
-def test_residue_arithmetic_closed(x, y, modulus):
-    a, b = Residue(x, modulus), Residue(y, modulus)
-    for result, want in [
-        (a + b, (x + y) % modulus),
-        (a - b, (x - y) % modulus),
-        (a * b, (x * y) % modulus),
-        (-a, -x % modulus),
-        (a + y, (x + y) % modulus),
-        (y - a, (y - x) % modulus),
-    ]:
-        assert 0 <= result.value < modulus
-        assert result.value == want
-
-
-def test_residue_modulus_mismatch():
-    with pytest.raises(ValueError):
-        Residue(1, 5) + Residue(1, 7)
-    with pytest.raises(ValueError):
-        Residue(0, 0)
-
-
 def test_diff_multiset_on_golden(b_full):
     dm = diff_multiset(b_full, 1, 0, range(6))
     assert dm.counts == {1: 1, 2: 1, 3: 2, 4: 1, 5: 1}
-    assert dm.total == 6
+    assert sum(dm.counts.values()) == 6
 
 
 def test_diff_multiset_same_column_rejected(b_full):
@@ -75,7 +40,7 @@ def test_diff_multiset_bad_indices(b_full):
 
 def test_diff_against_zero_column_is_entry_multiset(b_full):
     dm = diff_multiset(b_full, 0, 3)
-    assert dm.total == 7
+    assert sum(dm.counts.values()) == 7
     expected = {}
     for v in b_full.column(0):
         expected[v] = expected.get(v, 0) + 1
@@ -85,7 +50,7 @@ def test_diff_against_zero_column_is_entry_multiset(b_full):
 def test_diff_total_matches_row_range(b_full):
     for start in range(6):
         dm = diff_multiset(b_full, 2, 1, range(start, 7))
-        assert dm.total == 7 - start
+        assert sum(dm.counts.values()) == 7 - start
 
 
 def test_to_reduced_golden(b_full, b_reduced):

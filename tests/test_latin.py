@@ -71,7 +71,7 @@ def test_superimpose_self(b_reduced):
     for x in range(6):
         for y in range(6):
             assert profile.count(x, y) == (6 if x == y else 0)
-    assert profile.total == 36
+    assert sum(profile.flat) == 36
 
 
 def test_superimpose_golden_pair(b_reduced):
@@ -84,7 +84,6 @@ def test_superimpose_golden_pair(b_reduced):
             want = 0 if x == y else 2 if y == (x + 3) % 6 else 1
             assert profile.count(x, y) == want
             assert brute[(x, y)] == want
-    assert profile.as_counter() == brute
 
 
 def test_superimpose_order_mismatch(b_reduced):
