@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import combinations
 from typing import TextIO
 
 from .core import (
@@ -109,7 +110,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
         arr = read_array(_read_input(args.file))
-    except (ParseError, OSError) as exc:
+    except (ParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -200,7 +201,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 def cmd_latin(args: argparse.Namespace) -> int:
     try:
         arr = read_array(_read_input(args.file))
-    except (ParseError, OSError) as exc:
+    except (ParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if arr.kind is not Kind.DCA:
@@ -229,11 +230,6 @@ def cmd_latin(args: argparse.Namespace) -> int:
     squares = [latin_from_dca(reduced, s) for s in indices]
     n = reduced.order
     ordering = williams_order(n) if args.williams else None
-    classification = None
-    if args.classify:
-        classification = [
-            [classify_pair(a, b).value for b in squares] for a in squares
-        ]
     row_complete = None
     if ordering is not None:
         row_complete = [check_row_complete(sq, ordering).passed for sq in squares]
@@ -246,17 +242,18 @@ def cmd_latin(args: argparse.Namespace) -> int:
         if ordering is not None:
             obj["ordering"] = ordering
             obj["row_complete"] = row_complete
-        if classification is not None:
-            obj["classification"] = classification
+        if args.classify:
+            obj["classification"] = [
+                [classify_pair(a, b).value for b in squares] for a in squares
+            ]
         sys.stdout.write(json.dumps(obj) + "\n")
         return EXIT_OK
-    for s, sq in zip(indices, squares):
+    for sq in squares:
         sys.stdout.write(write_latin(sq))
-    if classification is not None:
-        for si, row in zip(indices, classification):
-            for sj, label in zip(indices, row):
-                if si < sj:
-                    sys.stdout.write(f"classify {si} {sj} {label}\n")
+    if args.classify:
+        # Text mode prints each unordered pair once, so classify only those.
+        for (si, a), (sj, b) in combinations(zip(indices, squares), 2):
+            sys.stdout.write(f"classify {si} {sj} {classify_pair(a, b).value}\n")
     if ordering is not None:
         sys.stdout.write("ordering " + " ".join(str(v) for v in ordering) + "\n")
         for s, ok in zip(indices, row_complete):

@@ -1,10 +1,18 @@
 """Latin squares derived from reduced DCAs, orthogonality classification,
-and row-complete column orderings."""
+and row-complete column orderings.
+
+Every square here is cyclic, L[i][j] = c_i + j mod n, and is stored as its
+offset column c (one column of a reduced DCA).  Superimposing the squares
+of columns a and b pairs x with y exactly #{i : b_i - a_i = y - x} times,
+and row completeness under a column ordering holds iff the ordering's
+successive differences are distinct, so both are decided in O(n).
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 
 from .core import DesignError, Form, Kind, ResidueArray
 from .verify import Check, VerificationReport, Witness
@@ -22,36 +30,27 @@ class OddOrder(DesignError):
     """No zig-zag ordering with all-distinct differences exists."""
 
 
+def _is_permutation(seq, n: int) -> bool:
+    return len(seq) == n and set(seq) == set(range(n))
+
+
 @dataclass(frozen=True)
 class LatinSquare:
-    """An order-n array in which every row and column is a permutation of
-    the residues 0..n-1 (validated on construction)."""
+    """The cyclic Latin square L[i][j] = offsets[i] + j mod n.  It is Latin
+    iff the offsets are a permutation of the residues 0..n-1 (validated on
+    construction)."""
 
     order: int
-    grid: tuple[tuple[int, ...], ...]
+    offsets: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = self.order
-        symbols = frozenset(range(n))
-        if len(self.grid) != n:
-            raise ValueError(f"grid has {len(self.grid)} rows, expected {n}")
-        for row in self.grid:
-            if len(row) != n or set(row) != symbols:
-                raise ValueError("row is not a permutation of the symbols")
-        for col in zip(*self.grid):
-            if set(col) != symbols:
-                raise ValueError("column is not a permutation of the symbols")
+        if not _is_permutation(self.offsets, self.order):
+            raise ValueError(f"offsets are not a permutation of 0..{self.order - 1}")
 
-
-@dataclass(frozen=True)
-class PairProfile:
-    """Counts of superimposed cell pairs, stored flat at index a*n + b."""
-
-    order: int
-    flat: tuple[int, ...]
-
-    def count(self, a: int, b: int) -> int:
-        return self.flat[a * self.order + b]
+    @property
+    def grid(self) -> tuple[tuple[int, ...], ...]:
+        base = tuple(range(self.order))
+        return tuple(base[c:] + base[:c] for c in self.offsets)
 
 
 class Classification(str, Enum):
@@ -69,24 +68,7 @@ def latin_from_dca(dca: ResidueArray, s: int) -> LatinSquare:
         raise ValueError("latin_from_dca expects a reduced DCA")
     if not 0 <= s < dca.columns:
         raise IndexError(f"column {s} outside [0, {dca.columns})")
-    n = dca.order
-    grid = tuple(
-        tuple((row[s] + j) % n for j in range(n)) for row in dca.entries
-    )
-    return LatinSquare(n, grid)
-
-
-def superimpose(a: LatinSquare, b: LatinSquare) -> PairProfile:
-    """Count, for every ordered symbol pair (x, y), the cells where the
-    first square shows x and the second shows y."""
-    if a.order != b.order:
-        raise OrderMismatch(f"orders differ: {a.order} vs {b.order}")
-    n = a.order
-    flat = [0] * (n * n)
-    for ra, rb in zip(a.grid, b.grid):
-        for x, y in zip(ra, rb):
-            flat[x * n + y] += 1
-    return PairProfile(n, tuple(flat))
+    return LatinSquare(dca.order, tuple(row[s] for row in dca.entries))
 
 
 def classify_pair(a: LatinSquare, b: LatinSquare) -> Classification:
@@ -95,29 +77,22 @@ def classify_pair(a: LatinSquare, b: LatinSquare) -> Classification:
     Orthogonal: every pair exactly once.  PseudoOrthogonal: each symbol
     of the first square meets one partner twice, misses one, and meets
     the rest once.  NearlyOrthogonal: pseudo-orthogonal with no symbol
-    ever meeting itself.
+    ever meeting itself.  Symbol x meets x + d as often as d occurs among
+    the offset differences b_i - a_i, the same counts for every x.
     """
-    profile = superimpose(a, b)
+    if a.order != b.order:
+        raise OrderMismatch(f"orders differ: {a.order} vs {b.order}")
     n = a.order
-    flat = profile.flat
-    if all(c == 1 for c in flat):
+    counts = [0] * n
+    for ca, cb in zip(a.offsets, b.offsets):
+        counts[(cb - ca) % n] += 1
+    ones = counts.count(1)
+    if ones == n:
         return Classification.ORTHOGONAL
-    diagonal_free = True
-    for x in range(n):
-        row = flat[x * n : (x + 1) * n]
-        twos = zeros = 0
-        for c in row:
-            if c == 2:
-                twos += 1
-            elif c == 0:
-                zeros += 1
-            elif c != 1:
-                return Classification.NONE
-        if twos != 1 or zeros != 1:
-            return Classification.NONE
-        if row[x] != 0:
-            diagonal_free = False
-    if diagonal_free:
+    # The other two counts are not 1 and sum to 2: one 2 and one 0.
+    if ones != n - 2:
+        return Classification.NONE
+    if counts[0] == 0:
         return Classification.NEARLY_ORTHOGONAL
     return Classification.PSEUDO_ORTHOGONAL
 
@@ -167,29 +142,37 @@ def check_row_complete(
 ) -> VerificationReport:
     """Pass iff, after permuting columns by ``ordering`` (identity when
     omitted), horizontally adjacent cells over all rows cover every
-    ordered pair of distinct symbols exactly once."""
+    ordered pair of distinct symbols exactly once.
+
+    Adjacent columns p, q of the cyclic square cover the n pairs
+    (x, x + q - p), one per row, so this holds iff the successive
+    differences of the ordering are distinct.
+    """
     n = square.order
     if ordering is None:
         ordering = list(range(n))
-    elif sorted(ordering) != list(range(n)):
+    elif not _is_permutation(ordering, n):
         raise BadOrdering("ordering must be a permutation of the column indices")
-    seen = bytearray(n * n)
-    for row in square.grid:
-        prev = row[ordering[0]]
-        for j in range(1, n):
-            cur = row[ordering[j]]
-            idx = prev * n + cur
-            if seen[idx]:
-                witness = Witness(pair=(prev, cur), expected=1, actual=2)
-                return VerificationReport((Check("row-complete", False, witness),))
-            seen[idx] = 1
-            prev = cur
-    # n(n-1) distinct pairs out of n(n-1) adjacencies: all pairs covered.
+    seen = bytearray(n)
+    for j in range(1, n):
+        d = (ordering[j] - ordering[j - 1]) % n
+        if seen[d]:
+            # Row 0 covers this pair here, and the earlier column pair
+            # with difference d covers it in another row.
+            c = square.offsets[0]
+            pair = ((c + ordering[j - 1]) % n, (c + ordering[j]) % n)
+            witness = Witness(pair=pair, expected=1, actual=2)
+            return VerificationReport((Check("row-complete", False, witness),))
+        seen[d] = 1
     return VerificationReport((Check("row-complete", True),))
 
 
 def write_latin(square: LatinSquare) -> str:
     """Serialize a Latin square in the grid format with an LS header."""
-    lines = [f"kind=LS n={square.order}"]
-    lines.extend(" ".join(str(v) for v in row) for row in square.grid)
-    return "\n".join(lines) + "\n"
+    n = square.order
+    line = " ".join(map(str, range(n)))
+    # Row c is the line rotated to start at symbol c: one slice of it doubled.
+    starts = list(accumulate((len(str(v)) + 1 for v in range(n - 1)), initial=0))
+    doubled = line + " " + line
+    rows = (doubled[starts[c] : starts[c] + len(line)] for c in square.offsets)
+    return "\n".join([f"kind=LS n={n}", *rows]) + "\n"

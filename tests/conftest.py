@@ -3,8 +3,14 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from diffcover.core import Form, Kind, ResidueArray, read_array
+
+# Property tests replay the same examples on every run: no example
+# database, no random seed, and no timing-dependent failures.
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 # The classical cyclic DCA(4,7;6) in the text file format.
 B_TEXT = """\

@@ -32,7 +32,6 @@ from diffcover.latin import (
     check_row_complete,
     latin_from_dca,
     mnols_set_check,
-    superimpose,
     williams_order,
 )
 from diffcover.search import SearchConfig, enumerate_third_columns, search_hdm, search_third_column
@@ -40,6 +39,7 @@ from diffcover.tables import SEARCHED_THIRD_COLUMNS, odd_even_column
 from diffcover.verify import verify_dca, verify_hdm
 
 from conftest import B_TEXT, mutate
+from latin_oracle import superimpose
 from test_construct import (
     EXAMPLE_26_B,
     EXAMPLE_26_B_MINUS_A,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import subprocess
@@ -12,10 +13,12 @@ import pytest
 
 import diffcover
 from diffcover.cli import main
-from diffcover.construct import construct_odd
-from diffcover.core import read_array, write_array
+from diffcover.construct import construct_by_method, construct_odd
+from diffcover.core import Form, read_array, write_array
+from diffcover.latin import williams_order
 from diffcover.verify import verify_dca
 
+import latin_oracle as oracle
 from conftest import B_TEXT, mutate
 
 
@@ -177,6 +180,68 @@ def test_latin_rejects_failing_input(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text(write_array(mutate(arr, 0, 1, 2)))
     assert main(["latin", str(path)]) == 1
+
+
+def naive_latin_stdout(reduced, indices, fmt: str) -> str:
+    """What ``latin --classify --williams`` prints, rendered from cell-by-cell
+    grids and the grid oracle's verdicts."""
+    n = reduced.order
+    columns = list(zip(*reduced.entries))
+    squares = [oracle.cyclic_grid(n, columns[s]) for s in indices]
+    ordering = williams_order(n)
+    labels = [[oracle.classify(a, b).value for b in squares] for a in squares]
+    complete = [oracle.check_row_complete(sq, ordering).passed for sq in squares]
+    if fmt == "json":
+        obj = {
+            "order": n,
+            "square_indices": indices,
+            "squares": [[list(row) for row in sq.grid] for sq in squares],
+            "ordering": ordering,
+            "row_complete": complete,
+            "classification": labels,
+        }
+        return json.dumps(obj) + "\n"
+    out = []
+    for sq in squares:
+        out.append(f"kind=LS n={n}\n")
+        out.extend(" ".join(str(v) for v in row) + "\n" for row in sq.grid)
+    for a, si in enumerate(indices):
+        for b, sj in enumerate(indices):
+            if si < sj:
+                out.append(f"classify {si} {sj} {labels[a][b]}\n")
+    out.append("ordering " + " ".join(str(v) for v in ordering) + "\n")
+    for s, ok in zip(indices, complete):
+        out.append(f"row-complete {s} {'pass' if ok else 'fail'}\n")
+    return "".join(out)
+
+
+@pytest.mark.parametrize("order", [34, 40, 26])  # six-mu, four-m, odd-f
+def test_latin_stdout_matches_naive_rendering(order, tmp_path, capsys):
+    arr, _ = construct_by_method(order)
+    assert arr.form is Form.REDUCED
+    path = tmp_path / f"dca{order}.txt"
+    path.write_text(write_array(arr))
+    for fmt in ("text", "json"):
+        code = main(["latin", str(path), "--classify", "--williams", "--format", fmt])
+        assert code == 0
+        assert capsys.readouterr().out == naive_latin_stdout(arr, [0, 1, 2], fmt), fmt
+    assert main(["latin", str(path), "--square", "1"]) == 0
+    square = oracle.cyclic_grid(order, [row[1] for row in arr.entries])
+    want = f"kind=LS n={order}\n" + "".join(" ".join(map(str, row)) + "\n" for row in square.grid)
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("command", ["verify", "latin"])
+def test_non_utf8_input_is_a_usage_error(command, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "bom.txt"
+    path.write_bytes(b"\xff\xfe")
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe"), encoding="utf-8"))
+    assert main([command, "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
 
 
 def test_spectrum_json(capsys):
