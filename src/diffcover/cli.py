@@ -55,6 +55,24 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_NO_RESULT = 3
 
+# The one place an error becomes an exit code: ``main`` prints
+# ``error: {exc}`` for any of these and returns the first matching code.
+# ValueError covers UnicodeDecodeError from a file that is not UTF-8.
+EXIT_CODES: dict[type[Exception], int] = {
+    CertificationFailed: EXIT_VERIFY,
+    BadShape: EXIT_VERIFY,
+    OddOrderStrict: EXIT_VERIFY,
+    NotNormalized: EXIT_VERIFY,
+    NoMethod: EXIT_NO_RESULT,
+    NoSolution: EXIT_NO_RESULT,
+    BudgetExhausted: EXIT_NO_RESULT,
+    InfeasibleFixedColumns: EXIT_NO_RESULT,
+    ParseError: EXIT_USAGE,
+    BadHole: EXIT_USAGE,
+    ValueError: EXIT_USAGE,
+    OSError: EXIT_USAGE,
+}
+
 
 def _read_input(path: str) -> str:
     if path == "-":
@@ -82,42 +100,31 @@ def _verify_for_kind(arr: ResidueArray, strict: bool) -> VerificationReport:
     return verify_dca(arr, strict=strict)
 
 
-def cmd_construct(args: argparse.Namespace) -> int:
-    if args.order % 2 or args.order < 6:
-        print(f"error: order must be even and at least 6, got {args.order}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        arr, tag = construct_by_method(args.order, args.method)
-    except NoMethod as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_RESULT
-    report = verify_dca(arr, strict=True)
+def _emit_array(arr: ResidueArray, report: VerificationReport, fmt: str, out: str = "-") -> None:
+    # Emission of an unverified array is a bug, not a user error.
     if not report.passed:
-        print(f"error: constructed array failed verification: {report.to_json()}", file=sys.stderr)
-        return EXIT_VERIFY
-    payload = write_array(arr, fmt=args.format)
-    summary = f"method={tag} verified={report.verdict}"
-    if args.out == "-":
+        raise CertificationFailed(f"attempted to emit a failing array: {report.to_json()}")
+    payload = write_array(arr, fmt=fmt)
+    if out == "-":
         sys.stdout.write(payload)
-        print(summary, file=sys.stderr)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-        print(summary)
+        return
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.write(payload)
+
+
+def cmd_construct(args: argparse.Namespace) -> int:
+    arr, tag = construct_by_method(args.order, args.method)
+    report = verify_dca(arr, strict=True)
+    _emit_array(arr, report, args.format, args.out)
+    summary = f"method={tag} verified={report.verdict}"
+    # The summary goes to whichever stream the array does not.
+    print(summary, file=sys.stderr if args.out == "-" else sys.stdout)
     return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        arr = read_array(_read_input(args.file))
-    except (ParseError, OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        report = _verify_for_kind(arr, args.strict)
-    except (BadShape, OddOrderStrict) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
+    arr = read_array(_read_input(args.file))
+    report = _verify_for_kind(arr, args.strict)
     if args.format == "json":
         sys.stdout.write(report.to_json() + "\n")
     else:
@@ -132,56 +139,31 @@ def _status_stream(stream: TextIO):
     return emit
 
 
-def _emit_array(arr: ResidueArray, report: VerificationReport, fmt: str) -> None:
-    # Emission of an unverified array is a bug, not a user error.
-    if not report.passed:
-        raise CertificationFailed(f"attempted to emit a failing array: {report.to_json()}")
-    sys.stdout.write(write_array(arr, fmt=fmt))
-
-
 def cmd_search(args: argparse.Namespace) -> int:
     status = _status_stream(sys.stderr)
     if args.hdm is not None:
         try:
             n, h = (int(tok) for tok in args.hdm.split(","))
         except ValueError:
-            print(f"error: --hdm expects n,h, got {args.hdm!r}", file=sys.stderr)
-            return EXIT_USAGE
-        try:
-            cfg = SearchConfig(order=n, node_budget=args.budget, status_interval=args.status_interval)
-            arr = search_hdm(n, h, cfg, status=status)
-        except (BadHole, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        except (BudgetExhausted, NoSolution) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_NO_RESULT
+            raise ValueError(f"--hdm expects n,h, got {args.hdm!r}") from None
+        cfg = SearchConfig(order=n, node_budget=args.budget, status_interval=args.status_interval)
+        arr = search_hdm(n, h, cfg, status=status)
         _emit_array(arr, verify_hdm(arr), args.format)
         return EXIT_OK
     n = args.order
     if n is None:
-        print("error: one of --order or --hdm is required", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("one of --order or --hdm is required")
     if n % 2 or n < 6:
-        print(f"error: order must be even and at least 6, got {n}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        cfg = SearchConfig(
-            order=n,
-            node_budget=args.budget,
-            result_limit=args.limit,
-            status_interval=args.status_interval,
-        )
-        columns = search_third_column(cfg, status=status)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (BudgetExhausted, InfeasibleFixedColumns) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_RESULT
+        raise ValueError(f"order must be even and at least 6, got {n}")
+    cfg = SearchConfig(
+        order=n,
+        node_budget=args.budget,
+        result_limit=args.limit,
+        status_interval=args.status_interval,
+    )
+    columns = search_third_column(cfg, status=status)
     if not columns:
-        print("error: search space exhausted without a solution", file=sys.stderr)
-        return EXIT_NO_RESULT
+        raise NoSolution("search space exhausted without a solution")
     from .tables import odd_even_column
 
     col0 = tuple(range(n))
@@ -199,34 +181,20 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_latin(args: argparse.Namespace) -> int:
-    try:
-        arr = read_array(_read_input(args.file))
-    except (ParseError, OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    arr = read_array(_read_input(args.file))
     if arr.kind is not Kind.DCA:
-        print(f"error: latin derivation needs a DCA, got {arr.kind.value}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        report = verify_dca(arr, strict=True)
-    except OddOrderStrict as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
+        raise ValueError(f"latin derivation needs a DCA, got {arr.kind.value}")
+    report = verify_dca(arr, strict=True)
     if not report.passed:
         print(f"error: input fails strict verification: {report.to_json()}", file=sys.stderr)
         return EXIT_VERIFY
-    try:
-        reduced = to_reduced(arr) if arr.form is Form.FULL else arr
-    except NotNormalized as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
+    reduced = to_reduced(arr) if arr.form is Form.FULL else arr
     if args.square == "all":
         indices = list(range(reduced.columns))
     elif args.square.isdecimal() and int(args.square) < reduced.columns:
         indices = [int(args.square)]
     else:
-        print(f"error: --square must be 'all' or an index in [0, {reduced.columns})", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"--square must be 'all' or an index in [0, {reduced.columns})")
     squares = [latin_from_dca(reduced, s) for s in indices]
     n = reduced.order
     ordering = williams_order(n) if args.williams else None
@@ -262,20 +230,18 @@ def cmd_latin(args: argparse.Namespace) -> int:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    try:
-        entries = spectrum_report(args.min, args.max)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    entries = spectrum_report(args.min, args.max)
+    write = sys.stdout.write
     if args.format == "csv":
-        lines = ["order,methods,status,source"]
+        write("order,methods,status,source\n")
         for e in entries:
-            lines.append(
-                f"{e.order},{';'.join(e.constructible_by)},{e.status},{e.source}"
-            )
-        sys.stdout.write("\n".join(lines) + "\n")
-    else:
-        sys.stdout.write(json.dumps([e.to_obj() for e in entries]) + "\n")
+            write(f"{e.order},{';'.join(e.constructible_by)},{e.status},{e.source}\n")
+        return EXIT_OK
+    # Element by element, the same bytes as json.dumps of the whole list.
+    write("[")
+    for i, e in enumerate(entries):
+        write((", " if i else "") + json.dumps(e.to_obj()))
+    write("]\n")
     return EXIT_OK
 
 
@@ -333,9 +299,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except CertificationFailed as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
+        return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
 
 
 def run() -> None:

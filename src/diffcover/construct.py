@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import astuple, dataclass
 from math import gcd, isqrt
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from . import tables
 from .core import DesignError, Form, Kind, ResidueArray, to_full
@@ -445,25 +445,25 @@ class SpectrumEntry:
         }
 
 
-def spectrum_report(lo: int, hi: int) -> list[SpectrumEntry]:
-    """Spectrum table for even orders lo..hi (bounds even, lo >= 6)."""
+def spectrum_report(lo: int, hi: int) -> Iterator[SpectrumEntry]:
+    """Spectrum table for even orders lo..hi (bounds even, lo >= 6).
+
+    The bounds are checked at once; the entries are made as they are
+    consumed, so any range starts producing immediately."""
     if lo % 2 or hi % 2:
         raise ValueError(f"bounds must be even, got {lo}..{hi}")
     if not 6 <= lo <= hi:
         raise ValueError(f"need 6 <= min <= max, got {lo}..{hi}")
-    out = []
-    for order in range(lo, hi + 1, 2):
-        methods = methods_for_order(order)
-        if methods:
-            status, source = "internal", methods[0]
-        elif order in tables.OPEN_ORDERS:
-            status, source = "open", "open"
-        else:
-            label = tables.external_source(order)
-            if label is None:
-                # Not in any transcribed list; the published record still
-                # covers every even order except 146.
-                label = "unlisted"
-            status, source = "covered-externally", label
-        out.append(SpectrumEntry(order, methods, status, source))
-    return out
+    return map(_spectrum_entry, range(lo, hi + 1, 2))
+
+
+def _spectrum_entry(order: int) -> SpectrumEntry:
+    methods = methods_for_order(order)
+    if methods:
+        return SpectrumEntry(order, methods, "internal", methods[0])
+    if order in tables.OPEN_ORDERS:
+        return SpectrumEntry(order, methods, "open", "open")
+    # An order in no transcribed list is "unlisted"; the published record
+    # still covers every even order except 146.
+    label = tables.external_source(order) or "unlisted"
+    return SpectrumEntry(order, methods, "covered-externally", label)

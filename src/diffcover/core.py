@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Callable, Iterable
 
 
 class DesignError(Exception):
@@ -201,99 +201,75 @@ def write_array(a: ResidueArray, fmt: str = "text") -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_header(line: str) -> dict[str, str]:
-    fields: dict[str, str] = {}
-    for token in line.split():
-        key, sep, value = token.partition("=")
-        if not sep or key not in _HEADER_KEYS or key in fields:
-            raise ParseError(f"bad header token {token!r}")
-        fields[key] = value
+def _json_int(v: object) -> int:
+    if type(v) is not int:
+        raise ParseError(f"expected a JSON integer, got {type(v).__name__}")
+    return v
+
+
+def _build(fields: dict, rows: Iterable[Iterable], number: Callable[[object], int] = int) -> ResidueArray:
+    """The one validator behind both file formats: header ``fields`` and
+    entry ``rows`` in, a checked array or ParseError out.  ``number``
+    converts each header count and entry (``int`` for text tokens)."""
     missing = [k for k in ("kind", "k", "n", "h", "form") if k not in fields]
     if missing:
         raise ParseError(f"header missing {', '.join(missing)}")
-    return fields
-
-
-def _expected_rows(kind: Kind, form: Form, n: int, h: int, rows: int, lam: int | None) -> None:
+    try:
+        kind, form = Kind(fields["kind"]), Form(fields["form"])
+        k, n, h = number(fields["k"]), number(fields["n"]), number(fields["h"])
+        lam = number(fields["lambda"]) if "lambda" in fields else None
+        entries = []
+        for row in rows:
+            row = tuple(map(number, row))
+            if len(row) != k:
+                raise ParseError(f"row {len(entries)} has {len(row)} entries, expected {k}")
+            entries.append(row)
+        arr = ResidueArray(kind, n, h, form, tuple(entries))
+    except (ValueError, TypeError) as exc:
+        raise ParseError(str(exc)) from exc
+    # The array checks above guarantee n >= 1 and 1 <= h < n, so the
+    # divisions below are safe.
+    count = arr.rows
     if kind is Kind.DCA:
         want = n + 1 if form is Form.FULL else n
-        if rows != want:
-            raise ParseError(f"{form.value} DCA over Z_{n} needs {want} rows, got {rows}")
+        if count != want:
+            raise ParseError(f"{form.value} DCA over Z_{n} needs {want} rows, got {count}")
     elif kind is Kind.HDM:
-        if rows % (n - h):
-            raise ParseError(f"HDM over Z_{n} with hole {h} needs a multiple of {n - h} rows, got {rows}")
+        if count % (n - h):
+            raise ParseError(f"HDM over Z_{n} with hole {h} needs a multiple of {n - h} rows, got {count}")
     else:
-        if rows % n:
-            raise ParseError(f"DM over Z_{n} needs a multiple of {n} rows, got {rows}")
-        if lam is not None and rows != lam * n:
-            raise ParseError(f"lambda={lam} inconsistent with {rows} rows over Z_{n}")
-
-
-def _read_json(text: str) -> ResidueArray:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ParseError("JSON array file must be an object")
-    try:
-        kind = Kind(obj["kind"])
-        form = Form(obj["form"])
-        k, n, h = int(obj["k"]), int(obj["n"]), int(obj["h"])
-        entries = [[int(v) for v in row] for row in obj["entries"]]
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ParseError(f"bad JSON fields: {exc}") from exc
-    lam = int(obj["lambda"]) if "lambda" in obj else None
-    if any(len(row) != k for row in entries):
-        raise ParseError(f"rows must have {k} entries")
-    if not entries:
-        raise ParseError("no entry rows")
-    _expected_rows(kind, form, n, h, len(entries), lam)
-    try:
-        return ResidueArray.from_rows(kind, n, entries, hole=h, form=form)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+        if count % n:
+            raise ParseError(f"DM over Z_{n} needs a multiple of {n} rows, got {count}")
+        if lam is not None and count != lam * n:
+            raise ParseError(f"lambda={lam} inconsistent with {count} rows over Z_{n}")
+    return arr
 
 
 def read_array(text: str) -> ResidueArray:
     """Parse an array from its text or JSON serialization.
 
     Text files may carry ``#`` comments; the first content line is the
-    header.  Row counts must match the declared kind and form.
+    header.  JSON counts and entries must be JSON integers.  Row counts
+    must match the declared kind and form.
     """
     if text.lstrip().startswith("{"):
-        return _read_json(text)
-    lines = []
-    for raw in text.splitlines():
-        content = raw.split("#", 1)[0].strip()
-        if content:
-            lines.append(content)
-    if not lines:
-        raise ParseError("empty file")
-    fields = _parse_header(lines[0])
-    try:
-        kind = Kind(fields["kind"])
-        form = Form(fields["form"])
-        k, n, h = int(fields["k"]), int(fields["n"]), int(fields["h"])
-        lam = int(fields["lambda"]) if "lambda" in fields else None
-    except ValueError as exc:
-        raise ParseError(f"bad header value: {exc}") from exc
-    entries = []
-    for line in lines[1:]:
         try:
-            row = [int(tok) for tok in line.split()]
-        except ValueError as exc:
-            raise ParseError(f"bad entry in row {len(entries)}: {exc}") from exc
-        if len(row) != k:
-            raise ParseError(f"row {len(entries)} has {len(row)} entries, expected {k}")
-        for v in row:
-            if not 0 <= v < n:
-                raise ParseError(f"entry {v} outside [0, {n})")
-        entries.append(row)
-    if not entries:
-        raise ParseError("no entry rows")
-    _expected_rows(kind, form, n, h, len(entries), lam)
-    try:
-        return ResidueArray.from_rows(kind, n, entries, hole=h, form=form)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+            obj = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            raise ParseError(f"bad JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise ParseError("JSON array file must be an object")
+        if "entries" not in obj:
+            raise ParseError("JSON array file has no entries")
+        return _build(obj, obj["entries"], _json_int)
+    lines = (c for raw in text.splitlines() if (c := raw.split("#", 1)[0].strip()))
+    header = next(lines, None)
+    if header is None:
+        raise ParseError("empty file")
+    fields: dict[str, str] = {}
+    for token in header.split():
+        key, sep, value = token.partition("=")
+        if not sep or key not in _HEADER_KEYS or key in fields:
+            raise ParseError(f"bad header token {token!r}")
+        fields[key] = value
+    return _build(fields, (line.split() for line in lines))

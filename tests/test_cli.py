@@ -13,7 +13,7 @@ import pytest
 
 import diffcover
 from diffcover.cli import main
-from diffcover.construct import construct_by_method, construct_odd
+from diffcover.construct import construct_by_method, construct_odd, spectrum_report
 from diffcover.core import Form, read_array, write_array
 from diffcover.latin import williams_order
 from diffcover.verify import verify_dca
@@ -242,6 +242,61 @@ def test_non_utf8_input_is_a_usage_error(command, tmp_path, monkeypatch, capsys)
     assert main([command, "-"]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and captured.out == ""
+
+
+def _assert_usage_error(code: int, captured) -> None:
+    assert code == 2
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_construct_unwritable_out_is_a_usage_error(capsys):
+    code = main(["construct", "--order", "26", "--out", "/nonexistent/dir/x.txt"])
+    _assert_usage_error(code, capsys.readouterr())
+
+
+def test_latin_on_single_column_dca_is_a_usage_error(tmp_path, capsys):
+    # A strict full DCA with k=1 reduces to zero columns: no square to derive.
+    path = tmp_path / "k1.txt"
+    path.write_text("kind=DCA k=1 n=2 h=0 form=full\n0\n0\n0\n")
+    assert main(["verify", str(path), "--strict"]) == 0
+    capsys.readouterr()
+    code = main(["latin", str(path)])
+    _assert_usage_error(code, capsys.readouterr())
+
+
+def test_verify_rejects_float_json_fields(tmp_path, capsys):
+    # int() would truncate n 6.9 to 6 and the entry 0.7 to 0, passing the golden array.
+    obj = json.loads(write_array(read_array(B_TEXT), fmt="json"))
+    obj["n"] = 6.9
+    obj["entries"][0][0] = 0.7
+    path = tmp_path / "float.json"
+    path.write_text(json.dumps(obj))
+    code = main(["verify", str(path), "--strict"])
+    _assert_usage_error(code, capsys.readouterr())
+
+
+def _pinned_spectrum() -> list[dict]:
+    return json.loads((Path(__file__).parent / "data" / "spectrum_6_360.json").read_text())
+
+
+def test_spectrum_stdout_bytes(capsys):
+    pinned = _pinned_spectrum()
+    assert main(["spectrum", "--min", "6", "--max", "360"]) == 0
+    assert capsys.readouterr().out == json.dumps(pinned) + "\n"
+    assert main(["spectrum", "--min", "6", "--max", "360", "--format", "csv"]) == 0
+    want = "order,methods,status,source\n" + "".join(
+        f"{e['order']},{';'.join(e['constructible_by'])},{e['status']},{e['source']}\n"
+        for e in pinned
+    )
+    assert capsys.readouterr().out == want
+
+
+def test_spectrum_report_is_lazy():
+    entries = spectrum_report(6, 360)
+    assert iter(entries) is entries
+    first = next(iter(spectrum_report(6, 10**12)))
+    assert first.order == 6 and first.status == "internal"
 
 
 def test_spectrum_json(capsys):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from diffcover.core import (
@@ -171,3 +173,44 @@ def test_json_read_errors():
         read_array("{not json")
     with pytest.raises(ParseError):
         read_array('{"kind": "DCA"}')
+
+
+def _golden_json(**changes) -> str:
+    obj = json.loads(write_array(read_array(B_TEXT), fmt="json"))
+    obj.update(changes)
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _golden_json(**{"lambda": "x"}),
+        _golden_json(**{"lambda": None}),
+        _golden_json().replace("[0, 1, 3, 0]", "[1e400, 1, 3, 0]", 1),
+        "kind=HDM k=2 n=4 h=4 form=full\n0 0\n",
+        json.dumps({"kind": "DM", "k": 2, "n": 0, "h": 0, "form": "full", "entries": [[0, 0]]}),
+        '{"kind": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    ],
+    ids=["lambda-str", "lambda-null", "entry-1e400", "hdm-h-equals-n", "dm-n-zero", "deep-json"],
+)
+def test_read_rejects_malformed_file_with_parse_error(text):
+    with pytest.raises(ParseError):
+        read_array(text)
+
+
+@pytest.mark.parametrize("key", ["k", "n", "h", "lambda"])
+@pytest.mark.parametrize("value", [True, 6.0, "6"], ids=["bool", "float", "str"])
+def test_json_counts_must_be_integers(key, value):
+    with pytest.raises(ParseError):
+        read_array(_golden_json(**{key: value}))
+
+
+@pytest.mark.parametrize("value", ["true", "0.0", '"0"'])
+def test_json_entries_must_be_integers(value):
+    with pytest.raises(ParseError):
+        read_array(_golden_json().replace("[0, 1, 3, 0]", f"[{value}, 1, 3, 0]", 1))
+
+
+def test_text_header_and_entries_go_through_int(b_full):
+    # Text tokens keep int()'s spelling rules, e.g. a leading '+'.
+    assert read_array(B_TEXT.replace("n=6", "n=+6").replace("1 3 0 0", "+1 3 0 0")) == b_full
