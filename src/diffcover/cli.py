@@ -153,8 +153,6 @@ def cmd_search(args: argparse.Namespace) -> int:
     n = args.order
     if n is None:
         raise ValueError("one of --order or --hdm is required")
-    if n % 2 or n < 6:
-        raise ValueError(f"order must be even and at least 6, got {n}")
     cfg = SearchConfig(
         order=n,
         node_budget=args.budget,
@@ -298,7 +296,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early, which is not a failure.  Point
+        # stdout at devnull so the flush at exit cannot fail again.
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))

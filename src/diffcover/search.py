@@ -1,9 +1,15 @@
-"""Deterministic backtracking searches.
+"""Deterministic backtracking searches over bitset candidate masks.
 
-Third-column search: depth-first over rows with two difference-occupancy
-tables (one per constrained column pair) and candidate values tried in
-ascending order, so the solution list is in lexicographic order.  The
-difference capacities are 0 for the zero residue, 2 for n/2, 1 otherwise.
+Both searches hold each set of differences that still has capacity as a
+doubled mask: bits d and d + n are both set for a difference d.  The
+values v with v - s in such a set D are then the low n bits of
+``D >> (n - s)``, with no rotation and no ``% n``.  Candidates are taken
+lowest bit first, so values are tried in ascending order.
+
+Third-column search: depth-first over rows in fixed order.  The
+candidates for row i are the unused values that keep both constrained
+column pairs within their difference capacities: 0 for the zero residue,
+2 for n/2, 1 otherwise.  The solution list is in lexicographic order.
 
 HDM search: columns 1 and 2 are assigned jointly row by row; the next row
 is the pending one with the fewest remaining (value, value) options, with
@@ -15,7 +21,6 @@ Searches never self-certify; callers verify outputs independently.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -32,10 +37,6 @@ class BudgetExhausted(DesignError):
 
 class InfeasibleFixedColumns(DesignError):
     """The fixed column pair violates the difference profile."""
-
-
-class OrderTooLarge(DesignError):
-    """Exhaustive enumeration is limited to orders up to 12."""
 
 
 class NoSolution(DesignError):
@@ -72,6 +73,12 @@ def _difference_caps(n: int) -> list[int]:
     return caps
 
 
+def _doubled_bits(n: int) -> list[int]:
+    """Entry d is bits d and d + n.  Indexed by a difference in (-n, n),
+    Python's negative indexing reduces it mod n."""
+    return [1 << d | 1 << d + n for d in range(n)]
+
+
 def _fixed_columns(cfg: SearchConfig) -> tuple[tuple[int, ...], tuple[int, ...]]:
     n = cfg.order
     col0 = cfg.col0 if cfg.col0 is not None else tuple(range(n))
@@ -90,8 +97,8 @@ def search_third_column(cfg: SearchConfig, status: StatusFn | None = None) -> li
     found; a partial list is returned otherwise.
     """
     n = cfg.order
-    if n % 2 or n < 2:
-        raise ValueError(f"order must be even and positive, got {n}")
+    if n % 2 or n < 6:
+        raise ValueError(f"order must be even and at least 6, got {n}")
     col0, col1 = _fixed_columns(cfg)
     caps = _difference_caps(n)
     pair_counts = [0] * n
@@ -100,90 +107,54 @@ def search_third_column(cfg: SearchConfig, status: StatusFn | None = None) -> li
     if pair_counts != caps:
         raise InfeasibleFixedColumns("fixed columns do not satisfy the difference profile")
 
-    cnt0 = [0] * n
-    cnt1 = [0] * n
+    full = (1 << n) - 1
+    dbl = _doubled_bits(n)
+    # n/2 has capacity 2.  Its entry in dbl is 0, which sends it to the
+    # spare bit 2n: its first use clears the spare, its second its bits.
+    half = dbl[n // 2]
+    spare = 1 << 2 * n
+    dbl[n // 2] = 0
     column = [0] * n
     solutions: list[tuple[int, ...]] = []
     nodes = 0
     limit = cfg.result_limit
     budget = cfg.node_budget
-    interval = cfg.status_interval
+    every = cfg.status_interval if status is not None else 0
 
-    def report(depth: int) -> None:
-        if status is not None and interval and nodes % interval == 0:
-            status({"nodes": nodes, "depth": depth, "solutions": len(solutions)})
-
-    def dfs(i: int, used: int) -> bool:
+    def dfs(i: int, free: int, a0: int, a1: int) -> bool:
         nonlocal nodes
         if i == n:
             solutions.append(tuple(column))
-            return limit is not None and len(solutions) >= limit
-        for v in range(n):
-            if used >> v & 1:
-                continue
-            d0 = (v - col0[i]) % n
-            if cnt0[d0] == caps[d0]:
-                continue
-            d1 = (v - col1[i]) % n
-            if cnt1[d1] == caps[d1]:
-                continue
+            return len(solutions) == limit
+        c0 = col0[i]
+        c1 = col1[i]
+        cand = free & a0 >> n - c0 & a1 >> n - c1
+        while cand:
+            b = cand & -cand
+            cand ^= b
             nodes += 1
             if nodes > budget:
                 raise _Budget
-            report(i)
+            if every and not nodes % every:
+                status({"nodes": nodes, "depth": i, "solutions": len(solutions)})
+            v = b.bit_length() - 1
             column[i] = v
-            cnt0[d0] += 1
-            cnt1[d1] += 1
-            done = dfs(i + 1, used | (1 << v))
-            cnt0[d0] -= 1
-            cnt1[d1] -= 1
-            if done:
+            u0 = dbl[v - c0] or (spare if a0 & spare else half)
+            u1 = dbl[v - c1] or (spare if a1 & spare else half)
+            if dfs(i + 1, free ^ b, a0 ^ u0, a1 ^ u1):
                 return True
         return False
 
+    # Every difference but 0 has capacity, and n/2 has its spare.
+    avail = (full | full << n) ^ dbl[0] | spare
     try:
-        dfs(0, 0)
+        dfs(0, full, avail, avail)
     except _Budget:
         if not solutions:
             raise BudgetExhausted(f"no solution within {budget} nodes") from None
     if status is not None:
         status({"nodes": nodes, "depth": n, "solutions": len(solutions)})
     return solutions
-
-
-def enumerate_third_columns(
-    order: int,
-    col0: tuple[int, ...] | None = None,
-    col1: tuple[int, ...] | None = None,
-) -> list[tuple[int, ...]]:
-    """Every admissible third column by brute force over all permutations
-    of the residues; the independent oracle for the pruned search."""
-    if order > 12:
-        raise OrderTooLarge(f"exhaustive enumeration capped at order 12, got {order}")
-    if order % 2 or order < 2:
-        raise ValueError(f"order must be even and positive, got {order}")
-    cfg = SearchConfig(order, col0=col0, col1=col1)
-    c0, c1 = _fixed_columns(cfg)
-    caps = _difference_caps(order)
-    out = []
-    for perm in itertools.permutations(range(order)):
-        cnt0 = [0] * order
-        cnt1 = [0] * order
-        ok = True
-        for i, v in enumerate(perm):
-            d0 = (v - c0[i]) % order
-            cnt0[d0] += 1
-            if cnt0[d0] > caps[d0]:
-                ok = False
-                break
-            d1 = (v - c1[i]) % order
-            cnt1[d1] += 1
-            if cnt1[d1] > caps[d1]:
-                ok = False
-                break
-        if ok:
-            out.append(perm)
-    return out
 
 
 def search_hdm(
@@ -199,28 +170,19 @@ def search_hdm(
     if h < 1 or h >= n or n % h:
         raise BadHole(f"hole {h} must divide order {n} with 1 <= h < n")
     budget = cfg.node_budget if cfg is not None else 10**9
-    interval = cfg.status_interval if cfg is not None else 0
+    every = cfg.status_interval if cfg is not None and status is not None else 0
     u = n // h
     hole = {j * u for j in range(h)}
     nonhole = [v for v in range(n) if v not in hole]
-    full = (1 << n) - 1
     nonhole_mask = 0
     for v in nonhole:
         nonhole_mask |= 1 << v
-
-    def rot(x: int, s: int) -> int:
-        s %= n
-        return ((x << s) | (x >> (n - s))) & full
-
-    col1: dict[int, int] = {}
-    col2: dict[int, int] = {}
+    dbl = _doubled_bits(n)
+    col1 = [0] * n
+    col2 = [0] * n
     nodes = 0
 
-    def report(depth: int) -> None:
-        if status is not None and interval and nodes % interval == 0:
-            status({"nodes": nodes, "depth": depth, "solutions": 0})
-
-    def dfs(pending: list[int], free1: int, free2: int, fd10: int, fd20: int, fd21: int) -> bool:
+    def dfs(pending: list[int], free1: int, free2: int, d10: int, d20: int, d21: int) -> bool:
         nonlocal nodes
         if not pending:
             return True
@@ -229,10 +191,10 @@ def search_hdm(
         best_score = -1
         best_mb = best_mc = 0
         for a in pending:
-            mb = rot(fd10, a) & free1
+            mb = d10 >> n - a & free1
             if not mb:
                 return False
-            mc = rot(fd20, a) & free2
+            mc = d20 >> n - a & free2
             if not mc:
                 return False
             score = mb.bit_count() * mc.bit_count()
@@ -240,7 +202,7 @@ def search_hdm(
                 best, best_score, best_mb, best_mc = a, score, mb, mc
         a = best
         rest = [x for x in pending if x != a]
-        depth = len(col1)
+        depth = len(nonhole) - len(pending)
         mb = best_mb
         while mb:
             b = mb & -mb
@@ -249,8 +211,9 @@ def search_hdm(
             nodes += 1
             if nodes > budget:
                 raise _Budget
-            report(depth)
-            mc = best_mc & rot(fd21, bv)
+            if every and not nodes % every:
+                status({"nodes": nodes, "depth": depth, "solutions": 0})
+            mc = best_mc & d21 >> n - bv
             while mc:
                 c = mc & -mc
                 mc ^= c
@@ -260,20 +223,15 @@ def search_hdm(
                     raise _Budget
                 col1[a] = bv
                 col2[a] = cv
-                if dfs(
-                    rest,
-                    free1 ^ b,
-                    free2 ^ c,
-                    fd10 ^ (1 << ((bv - a) % n)),
-                    fd20 ^ (1 << ((cv - a) % n)),
-                    fd21 ^ (1 << ((cv - bv) % n)),
-                ):
+                if dfs(rest, free1 ^ b, free2 ^ c,
+                       d10 ^ dbl[bv - a], d20 ^ dbl[cv - a], d21 ^ dbl[cv - bv]):
                     return True
-                del col1[a], col2[a]
         return False
 
+    # The allowed differences are the non-hole residues, doubled.
+    avail = nonhole_mask | nonhole_mask << n
     try:
-        found = dfs(nonhole, nonhole_mask, nonhole_mask, nonhole_mask, nonhole_mask, nonhole_mask)
+        found = dfs(nonhole, nonhole_mask, nonhole_mask, avail, avail, avail)
     except _Budget:
         raise BudgetExhausted(f"no HDM(4,{n};{h}) within {budget} nodes") from None
     if status is not None:

@@ -34,12 +34,13 @@ from diffcover.latin import (
     mnols_set_check,
     williams_order,
 )
-from diffcover.search import SearchConfig, enumerate_third_columns, search_hdm, search_third_column
+from diffcover.search import SearchConfig, search_hdm, search_third_column
 from diffcover.tables import SEARCHED_THIRD_COLUMNS, odd_even_column
 from diffcover.verify import verify_dca, verify_hdm
 
 from conftest import B_TEXT, mutate
 from latin_oracle import superimpose
+from search_oracle import enumerate_third_columns
 from test_construct import (
     EXAMPLE_26_B,
     EXAMPLE_26_B_MINUS_A,

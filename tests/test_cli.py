@@ -369,3 +369,28 @@ def test_emit_array_check_survives_optimize():
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert "CertificationFailed" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--min", "6", "--max", "1000000"],
+        ["latin", "dca610.txt", "--classify"],
+        ["construct", "--order", "29998"],
+    ],
+    ids=["spectrum", "latin", "construct"],
+)
+def test_short_read_of_stdout_is_success(argv, tmp_path):
+    # A reader that stops early (``| head -c 100``) is not a usage error.
+    assert main(["construct", "--order", "610", "--out", str(tmp_path / "dca610.txt")]) == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(diffcover.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "diffcover", *argv],
+        cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert len(head) == 100
+    assert proc.returncode == 0
+    assert b"error" not in err and b"Traceback" not in err

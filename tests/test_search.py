@@ -2,16 +2,17 @@
 
 from __future__ import annotations
 
+from math import gcd
+
 import pytest
+from hypothesis import given, strategies as st
 
 from diffcover.core import Form, Kind, ResidueArray
 from diffcover.search import (
     BudgetExhausted,
     InfeasibleFixedColumns,
     NoSolution,
-    OrderTooLarge,
     SearchConfig,
-    enumerate_third_columns,
     search_hdm,
     search_third_column,
 )
@@ -19,6 +20,7 @@ from diffcover.tables import odd_even_column
 from diffcover.verify import BadHole, verify_dca, verify_hdm
 
 from conftest import B_REDUCED_COLUMNS
+from search_oracle import OrderTooLarge, enumerate_third_columns
 
 
 def assemble(order: int, col2: tuple[int, ...]) -> ResidueArray:
@@ -37,7 +39,7 @@ def test_search_equals_enumeration_at_order_six():
     assert search_third_column(SearchConfig(6)) == enumerate_third_columns(6)
 
 
-@pytest.mark.parametrize("order", [8, 10])
+@pytest.mark.parametrize("order", [8, 10, 12])
 def test_search_equals_enumeration(order):
     # Pruning soundness: the capacity-pruned search agrees with the
     # unpruned filter over all permutations.
@@ -87,6 +89,9 @@ def test_fixed_column_validation():
         search_third_column(SearchConfig(6, col0=(0, 1, 2, 3, 4, 4)))
     with pytest.raises(ValueError):
         search_third_column(SearchConfig(7))
+    for order in (2, 4):
+        with pytest.raises(ValueError, match=f"order must be even and at least 6, got {order}"):
+            search_third_column(SearchConfig(order))
     with pytest.raises(ValueError):
         SearchConfig(6, node_budget=0)
 
@@ -138,3 +143,81 @@ def test_order_fourteen_pipeline_ingredient():
     cols = search_third_column(SearchConfig(14, result_limit=1))
     assert len(cols) == 1
     assert verify_dca(assemble(14, cols[0]), strict=True).passed
+
+
+@st.composite
+def fixed_pairs(draw):
+    """A joint row permutation and a unit multiple of the default pair,
+    which keeps the pair's difference profile."""
+    order = draw(st.sampled_from([6, 8, 10]))
+    rows = draw(st.permutations(range(order)))
+    unit = draw(st.sampled_from([m for m in range(1, order) if gcd(m, order) == 1]))
+    default1 = odd_even_column(order)
+    col0 = tuple(unit * r % order for r in rows)
+    col1 = tuple(unit * default1[r] % order for r in rows)
+    return order, col0, col1
+
+
+@given(fixed_pairs())
+def test_search_equals_enumeration_for_fixed_columns(pair):
+    order, col0, col1 = pair
+    found = search_third_column(SearchConfig(order, col0=col0, col1=col1))
+    assert found == enumerate_third_columns(order, col0, col1)
+
+
+@given(st.sampled_from([6, 8, 10, 12]), st.integers(1, 40_000))
+def test_budget_clipped_search_is_a_prefix(order, budget):
+    full = search_third_column(SearchConfig(order))
+    try:
+        clipped = search_third_column(SearchConfig(order, node_budget=budget))
+    except BudgetExhausted:
+        return
+    assert clipped == full[: len(clipped)]
+
+
+# Final node counts and first results.  A faster search must walk the
+# same tree, so these never change with a speed-up.
+THIRD_PINS = {
+    14: (15_994, (2, 8, 7, 0, 12, 1, 5, 10, 9, 13, 3, 6, 4, 11)),
+    18: (48_546, (2, 0, 7, 12, 15, 1, 4, 14, 11, 3, 16, 8, 13, 17, 5, 10, 6, 9)),
+}
+HDM_PINS = {
+    (14, 2): (1_231, ((1, 2, 3), (2, 11, 10), (3, 13, 8), (4, 1, 5), (5, 9, 11), (6, 5, 2), (8, 10, 6),
+                      (9, 12, 4), (10, 8, 13), (11, 3, 1), (12, 6, 9), (13, 4, 12))),
+    (18, 2): (292_867, ((1, 2, 3), (2, 10, 16), (3, 15, 13), (4, 1, 5), (5, 16, 11), (6, 4, 1),
+                        (7, 11, 14), (8, 7, 12), (10, 12, 8), (11, 14, 4), (12, 17, 6),
+                        (13, 8, 10), (14, 6, 17), (15, 3, 2), (16, 5, 15), (17, 13, 7))),
+}
+
+
+@pytest.mark.parametrize("order", sorted(THIRD_PINS))
+def test_third_column_pinned(order):
+    nodes, first = THIRD_PINS[order]
+    events = []
+    found = search_third_column(SearchConfig(order, result_limit=1), status=events.append)
+    assert found == [first]
+    assert events == [{"nodes": nodes, "depth": order, "solutions": 1}]
+
+
+@pytest.mark.parametrize("n,h", sorted(HDM_PINS))
+def test_hdm_pinned(n, h):
+    nodes, rows = HDM_PINS[n, h]
+    events = []
+    arr = search_hdm(n, h, SearchConfig(n), status=events.append)
+    assert arr.entries == tuple(row + (0,) for row in rows)
+    assert events == [{"nodes": nodes, "depth": n - h, "solutions": 1}]
+
+
+def test_status_events_pinned():
+    events = []
+    search_third_column(SearchConfig(14, result_limit=1, status_interval=1000), status=events.append)
+    depths = [7, 5, 7, 8, 9, 4, 6, 6, 8, 8, 7, 8, 6, 8, 5]
+    assert events == [
+        {"nodes": 1000 * (j + 1), "depth": d, "solutions": 0} for j, d in enumerate(depths)
+    ] + [{"nodes": 15_994, "depth": 14, "solutions": 1}]
+    events = []
+    search_hdm(14, 2, SearchConfig(14, status_interval=1000), status=events.append)
+    assert events == [
+        {"nodes": 1000, "depth": 7, "solutions": 0},
+        {"nodes": 1231, "depth": 12, "solutions": 1},
+    ]
