@@ -1,6 +1,6 @@
 """Constructions of cyclic DCAs: three direct parametric families, the
 searched small-order tables, prime-field difference matrices, and the
-composition combinators (hole insertion and two product forms).
+composition combinators (hole insertion and the HDM x DM product).
 
 Every family builds a reduced 2m x 3 array whose full form is a cyclic
 DCA(4, 2m+1; 2m) with zero occurring twice per column and every off-pair
@@ -326,47 +326,6 @@ def hdm_product(hdm: ResidueArray, dm: ResidueArray) -> ResidueArray:
     # The product formula is not trusted: every output is re-certified.
     if not verify_hdm(out).passed:
         raise CertificationFailed("product produced an invalid HDM")
-    return out
-
-
-def dca_product(dm_a: ResidueArray, dm_b: ResidueArray, dca_b: ResidueArray) -> ResidueArray:
-    """Product of DM(n, k; 1), DM(n', k; 1) and a strict DCA(k, n'+1; n'):
-    rows x with x mod n != n-1 carry a(x mod n, j) + n*b(x div n, j), the
-    remaining rows carry n*c(x div n, j), giving a full strict
-    DCA(k, n n'+1; n n').  All three ingredients must be normalized."""
-    for name, arr, kind in (("first", dm_a, Kind.DM), ("second", dm_b, Kind.DM), ("third", dca_b, Kind.DCA)):
-        _require(arr.kind is kind, f"{name} ingredient has kind {arr.kind.value}, expected {kind.value}")
-    full_c_width = dca_b.columns + 1 if dca_b.form is Form.REDUCED else dca_b.columns
-    if not dm_a.columns == dm_b.columns == full_c_width:
-        raise MismatchedK(
-            f"column counts differ: {dm_a.columns}, {dm_b.columns}, {full_c_width}"
-        )
-    for name, arr in (("first", dm_a), ("second", dm_b)):
-        report = verify_dm(arr)
-        _require(report.passed, f"{name} DM ingredient fails verification")
-        _require(report.meta["lambda"] == 1, f"{name} DM ingredient must have lambda = 1")
-        _require(arr.is_normalized, f"{name} DM ingredient must have zero last row and column")
-    try:
-        _require(verify_dca(dca_b, strict=True).passed, "DCA ingredient fails strict verification")
-    except OddOrderStrict as exc:
-        raise IngredientInvalid(str(exc)) from exc
-    full_c = to_full(dca_b) if dca_b.form is Form.REDUCED else dca_b
-    _require(full_c.is_normalized, "DCA ingredient must have zero last row and column")
-    _require(full_c.order == dm_b.order, "DCA ingredient order must match the second DM")
-    n, np_ = dm_a.order, dm_b.order
-    big = n * np_
-    k = dm_a.columns
-    rows = []
-    for x in range(big):
-        i, ip = x % n, x // n
-        if i != n - 1:
-            rows.append(tuple((dm_a.entries[i][j] + n * dm_b.entries[ip][j]) % big for j in range(k)))
-        else:
-            rows.append(tuple((n * full_c.entries[ip][j]) % big for j in range(k)))
-    rows.append(tuple((n * full_c.entries[np_][j]) % big for j in range(k)))
-    out = ResidueArray.from_rows(Kind.DCA, big, rows)
-    if not verify_dca(out, strict=True).passed:
-        raise CertificationFailed("product produced an invalid DCA")
     return out
 
 

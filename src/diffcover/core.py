@@ -4,7 +4,9 @@ One rectangular array type carries the three design kinds used throughout:
 difference matrices (DM), holey difference matrices (HDM) and difference
 covering arrays (DCA), all over the cyclic group Z_n.  Entries are stored
 as canonical residues in [0, n); piecewise construction formulas are
-evaluated in ordinary integers and reduced once on entry.
+evaluated in ordinary integers and reduced once on entry.  The defining
+properties of all three are read off difference counts: how often each
+residue occurs as a difference of two columns (:func:`diff_counts`).
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from operator import sub
 from typing import Callable, Iterable
 
 
@@ -112,41 +115,13 @@ class ResidueArray:
         )
 
 
-@dataclass(frozen=True)
-class DiffMultiset:
-    """Multiset of differences between two columns, as residue counts."""
-
-    modulus: int
-    counts: dict[int, int]
-
-    def __getitem__(self, d: int) -> int:
-        return self.counts.get(d % self.modulus, 0)
-
-
-def diff_multiset(
-    a: ResidueArray, j: int, jp: int, rows: range | None = None
-) -> DiffMultiset:
-    """Count the differences column(j) - column(jp) mod n over ``rows``.
-
-    ``rows`` defaults to all rows; it must lie within the array.
-    """
-    if j == jp:
-        raise ValueError(f"need two distinct columns, got {j} twice")
-    k = a.columns
-    if not 0 <= j < k or not 0 <= jp < k:
-        raise IndexError(f"column pair ({j}, {jp}) outside [0, {k})")
-    if rows is None:
-        rows = range(a.rows)
-    if rows and (rows[0] < 0 or rows[-1] >= a.rows):
-        raise IndexError(f"row range {rows} outside [0, {a.rows})")
-    n = a.order
-    counts: dict[int, int] = {}
-    entries = a.entries
-    for i in rows:
-        row = entries[i]
-        d = (row[j] - row[jp]) % n
-        counts[d] = counts.get(d, 0) + 1
-    return DiffMultiset(n, counts)
+def diff_counts(x: Iterable[int], y: Iterable[int], n: int) -> list[int]:
+    """Difference counts of two columns: entry d is the number of paired
+    entries with x_i - y_i = d mod n."""
+    counts = [0] * n
+    for d in map(sub, x, y):
+        counts[d % n] += 1
+    return counts
 
 
 def to_reduced(a: ResidueArray) -> ResidueArray:

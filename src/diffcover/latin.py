@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
 
-from .core import DesignError, Form, Kind, ResidueArray
+from .core import DesignError, Form, Kind, ResidueArray, diff_counts
 from .verify import Check, VerificationReport, Witness
 
 
@@ -83,9 +83,7 @@ def classify_pair(a: LatinSquare, b: LatinSquare) -> Classification:
     if a.order != b.order:
         raise OrderMismatch(f"orders differ: {a.order} vs {b.order}")
     n = a.order
-    counts = [0] * n
-    for ca, cb in zip(a.offsets, b.offsets):
-        counts[(cb - ca) % n] += 1
+    counts = diff_counts(b.offsets, a.offsets, n)
     ones = counts.count(1)
     if ones == n:
         return Classification.ORTHOGONAL

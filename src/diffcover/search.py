@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import DesignError, Kind, ResidueArray
+from .core import DesignError, Kind, ResidueArray, diff_counts
 from .tables import odd_even_column
 from .verify import BadHole
 
@@ -100,11 +100,7 @@ def search_third_column(cfg: SearchConfig, status: StatusFn | None = None) -> li
     if n % 2 or n < 6:
         raise ValueError(f"order must be even and at least 6, got {n}")
     col0, col1 = _fixed_columns(cfg)
-    caps = _difference_caps(n)
-    pair_counts = [0] * n
-    for x, y in zip(col1, col0):
-        pair_counts[(x - y) % n] += 1
-    if pair_counts != caps:
+    if diff_counts(col1, col0, n) != _difference_caps(n):
         raise InfeasibleFixedColumns("fixed columns do not satisfy the difference profile")
 
     full = (1 << n) - 1
@@ -221,6 +217,8 @@ def search_hdm(
                 nodes += 1
                 if nodes > budget:
                     raise _Budget
+                if every and not nodes % every:
+                    status({"nodes": nodes, "depth": depth, "solutions": 0})
                 col1[a] = bv
                 col2[a] = cv
                 if dfs(rest, free1 ^ b, free2 ^ c,

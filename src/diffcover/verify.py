@@ -1,19 +1,21 @@
 """Independent verifiers for the defining difference properties.
 
-Every check counts differences per column pair through
-:func:`diffcover.core.diff_multiset`; no constructor formula is reused,
-so the verifiers serve as oracles for everything the package builds.
-Failure witnesses are deterministic: smallest column pair first (pairs
-enumerated (1,0), (2,0), (2,1), ...), then smallest residue.
+Each verifier takes one count per column pair, through
+:func:`diffcover.core.diff_counts`, and reads every check off those
+lists; no constructor formula is reused, so the verifiers serve as
+oracles for everything the package builds.  Residues are walked only to
+find the witness of a failing check, which is deterministic: smallest
+column pair first (pairs enumerated (1,0), (2,0), (2,1), ...), then
+smallest residue.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable
 
-from .core import DesignError, Form, Kind, ResidueArray, diff_multiset, to_full
+from .core import DesignError, Form, Kind, ResidueArray, diff_counts, to_full
 
 
 class BadShape(DesignError):
@@ -103,30 +105,31 @@ class VerificationReport:
         return json.dumps(self.to_obj())
 
 
-def _pairs(k: int) -> Iterator[tuple[int, int]]:
-    for j in range(1, k):
-        for jp in range(j):
-            yield j, jp
+def _pair_counts(a: ResidueArray) -> dict[tuple[int, int], list[int]]:
+    """The difference counts of every column pair over all rows, keyed
+    (j, jp) in witness order: (1,0), (2,0), (2,1), ..."""
+    cols = list(zip(*a.entries))
+    n = a.order
+    return {(j, jp): diff_counts(cols[j], cols[jp], n) for j in range(1, len(cols)) for jp in range(j)}
 
 
 def _balance_check(
     name: str,
-    a: ResidueArray,
-    expected: dict[int, int],
-    columns: range | None = None,
-    rows: range | None = None,
+    pairs: dict[tuple[int, int], list[int]],
+    expected: list[int],
+    residues: Iterable[int] | None = None,
 ) -> Check:
-    """Pass iff, for every column pair, each residue in ``expected`` occurs
-    in the difference multiset exactly as often as stated."""
-    cols = columns if columns is not None else range(a.columns)
-    residues = sorted(expected)
-    for j, jp in _pairs(len(cols)):
-        dm = diff_multiset(a, cols[j], cols[jp], rows)
+    """Pass iff every pair's counts equal ``expected`` at each of
+    ``residues`` (all residues when omitted).  Whole lists are compared
+    first; residues are walked only for a pair that differs."""
+    if residues is None:
+        residues = range(len(expected))
+    for pair, counts in pairs.items():
+        if counts == expected:
+            continue
         for d in residues:
-            want = expected[d]
-            got = dm[d]
-            if got != want:
-                return Check(name, False, Witness(pair=(cols[j], cols[jp]), residue=d, expected=want, actual=got))
+            if counts[d] != expected[d]:
+                return Check(name, False, Witness(pair=pair, residue=d, expected=expected[d], actual=counts[d]))
     return Check(name, True)
 
 
@@ -139,7 +142,7 @@ def verify_dm(a: ResidueArray) -> VerificationReport:
     if a.rows % n:
         raise BadShape(f"DM rows {a.rows} not a multiple of order {n}")
     lam = a.rows // n
-    check = _balance_check("difference-balance", a, {d: lam for d in range(n)})
+    check = _balance_check("difference-balance", _pair_counts(a), [lam] * n)
     return VerificationReport((check,), meta={"lambda": lam})
 
 
@@ -156,10 +159,14 @@ def verify_hdm(a: ResidueArray) -> VerificationReport:
         raise BadShape(f"HDM rows {a.rows} not a multiple of {n - h}")
     lam = a.rows // (n - h)
     u = n // h
-    hole = {i * u for i in range(h)}
+    hole = range(0, n, u)
+    expected = [lam] * n
+    for d in hole:
+        expected[d] = 0
+    pairs = _pair_counts(a)
     checks = [
-        _balance_check("hole-avoidance", a, {d: 0 for d in sorted(hole)}),
-        _balance_check("difference-balance", a, {d: lam for d in range(n) if d not in hole}),
+        _balance_check("hole-avoidance", pairs, expected, hole),
+        _balance_check("difference-balance", pairs, expected, [d for d in range(n) if d % u]),
     ]
     if all(row[-1] == 0 for row in a.entries):
         # With an all-zero last column, hole residues may not occur as
@@ -190,17 +197,14 @@ def verify_dca(a: ResidueArray, strict: bool = False) -> VerificationReport:
         raise ValueError(f"verify_dca expects a DCA array, got {a.kind.value}")
     full = to_full(a) if a.form is Form.REDUCED else a
     n = full.order
-    checks: list[Check] = []
+    pairs = _pair_counts(full)
     coverage = Check("coverage", True)
-    min_coverage: int | None = None
-    for j, jp in _pairs(full.columns):
-        dm = diff_multiset(full, j, jp)
-        for d in range(n):
-            got = dm[d]
-            min_coverage = got if min_coverage is None else min(min_coverage, got)
-            if got < 1 and coverage.passed:
-                coverage = Check("coverage", False, Witness(pair=(j, jp), residue=d, expected=1, actual=0))
-    checks.append(coverage)
+    for pair, counts in pairs.items():
+        if 0 in counts:
+            coverage = Check("coverage", False, Witness(pair=pair, residue=counts.index(0), expected=1, actual=0))
+            break
+    checks = [coverage]
+    min_coverage = min(map(min, pairs.values())) if pairs else None
     meta: dict[str, object] = {"rows": full.rows, "min_coverage": min_coverage}
     if strict:
         if n % 2:
@@ -209,7 +213,7 @@ def verify_dca(a: ResidueArray, strict: bool = False) -> VerificationReport:
             raise BadShape(f"full DCA over Z_{n} needs {n + 1} rows, got {full.rows}")
         zero_twice = Check("zero-twice-per-column", True)
         for j in range(full.columns):
-            zeros = sum(1 for v in full.column(j) if v == 0)
+            zeros = full.column(j).count(0)
             if zeros < 2:
                 zero_twice = Check(
                     "zero-twice-per-column",
@@ -218,27 +222,17 @@ def verify_dca(a: ResidueArray, strict: bool = False) -> VerificationReport:
                 )
                 break
         checks.append(zero_twice)
-        profile = {d: 1 for d in range(n)}
+        # The profile covers the first n rows of the pairs off the last
+        # column: each pair's counts less the last row's difference.
+        last = full.entries[-1]
+        off_last = {}
+        for (j, jp), counts in pairs.items():
+            if j < full.columns - 1:
+                counts = counts.copy()
+                counts[(last[j] - last[jp]) % n] -= 1
+                off_last[j, jp] = counts
+        profile = [1] * n
         profile[0] = 0
         profile[n // 2] = 2
-        checks.append(
-            _balance_check(
-                "difference-profile",
-                full,
-                profile,
-                columns=range(full.columns - 1),
-                rows=range(n),
-            )
-        )
+        checks.append(_balance_check("difference-profile", off_last, profile))
     return VerificationReport(tuple(checks), meta=meta)
-
-
-def check_column_bound(k: int, p: int) -> bool:
-    """Whether a cyclic DCA(k+1, 2p+1; 2p) with the strict properties is
-    not excluded by the column bound: k <= p+1, strictly below when p is
-    even."""
-    if p < 2:
-        raise ValueError(f"p must be at least 2, got {p}")
-    if p % 2 == 0:
-        return k < p + 1
-    return k <= p + 1

@@ -27,7 +27,7 @@ from diffcover.construct import (
     params_odd,
     spectrum_report,
 )
-from diffcover.core import Form, Kind, ResidueArray, diff_multiset, read_array, to_reduced
+from diffcover.core import Form, Kind, ResidueArray, diff_counts, read_array, to_reduced
 from diffcover.latin import (
     check_row_complete,
     latin_from_dca,
@@ -140,9 +140,9 @@ def test_criterion_01_golden_example():
         assert verify_dca(arr, strict=True).passed
         for j in range(3):
             for jp in range(j):
-                dm = diff_multiset(arr, j, jp, range(6))
-                assert dm.counts == {1: 1, 2: 1, 3: 2, 4: 1, 5: 1}
-                assert dm[3] == 2 and 3 == 6 // 2
+                counts = diff_counts(arr.column(j)[:6], arr.column(jp)[:6], 6)
+                assert counts == [0, 1, 1, 2, 1, 1]
+                assert counts[3] == 2 and 3 == 6 // 2
         return arr
 
     _, elapsed = best_of(3, work)

@@ -21,7 +21,6 @@ from diffcover.construct import (
     construct_by_method,
     construct_from_table,
     construct_odd,
-    dca_product,
     dm_prime,
     hdm_product,
     insert_hole,
@@ -219,21 +218,6 @@ def test_hdm_product_rejects_lambda_two():
         hdm_product(hdm, doubled)
     with pytest.raises(MismatchedK):
         hdm_product(hdm, dm_prime(5, 3))
-
-
-def test_dca_product_smoke_k2():
-    dm_a = dm_prime(5, 2)
-    dm_b = ResidueArray.from_rows(Kind.DM, 6, [(i, 0) for i in (1, 2, 3, 4, 5, 0)])
-    dca_b = ResidueArray.from_rows(
-        Kind.DCA, 6, [(i, 0) for i in (0, 1, 2, 3, 4, 5, 0)]
-    )
-    out = dca_product(dm_a, dm_b, dca_b)
-    assert out.order == 30 and out.rows == 31
-    assert verify_dca(out, strict=True).passed
-    # Non-normalized ingredient: zero row not last.
-    shuffled = ResidueArray.from_rows(Kind.DM, 6, [(i, 0) for i in (0, 1, 2, 3, 4, 5)])
-    with pytest.raises(IngredientInvalid):
-        dca_product(dm_a, shuffled, dca_b)
 
 
 def test_no_cyclic_dm_6_3():

@@ -1,4 +1,4 @@
-"""Core model: difference multisets, forms, serialization."""
+"""Core model: difference counts, forms, serialization."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from diffcover.core import (
     NotNormalized,
     ParseError,
     ResidueArray,
-    diff_multiset,
+    diff_counts,
     read_array,
     to_full,
     to_reduced,
@@ -23,36 +23,24 @@ from conftest import B_TEXT, mutate
 
 
 def test_diff_multiset_on_golden(b_full):
-    dm = diff_multiset(b_full, 1, 0, range(6))
-    assert dm.counts == {1: 1, 2: 1, 3: 2, 4: 1, 5: 1}
-    assert sum(dm.counts.values()) == 6
-
-
-def test_diff_multiset_same_column_rejected(b_full):
-    with pytest.raises(ValueError):
-        diff_multiset(b_full, 1, 1)
-
-
-def test_diff_multiset_bad_indices(b_full):
-    with pytest.raises(IndexError):
-        diff_multiset(b_full, 0, 4)
-    with pytest.raises(IndexError):
-        diff_multiset(b_full, 1, 0, range(8))
+    counts = diff_counts(b_full.column(1)[:6], b_full.column(0)[:6], 6)
+    assert counts == [0, 1, 1, 2, 1, 1]
+    assert sum(counts) == 6
 
 
 def test_diff_against_zero_column_is_entry_multiset(b_full):
-    dm = diff_multiset(b_full, 0, 3)
-    assert sum(dm.counts.values()) == 7
-    expected = {}
+    counts = diff_counts(b_full.column(0), b_full.column(3), 6)
+    assert sum(counts) == 7
+    expected = [0] * 6
     for v in b_full.column(0):
-        expected[v] = expected.get(v, 0) + 1
-    assert dm.counts == expected
+        expected[v] += 1
+    assert counts == expected
 
 
 def test_diff_total_matches_row_range(b_full):
     for start in range(6):
-        dm = diff_multiset(b_full, 2, 1, range(start, 7))
-        assert sum(dm.counts.values()) == 7 - start
+        counts = diff_counts(b_full.column(2)[start:], b_full.column(1)[start:], 6)
+        assert sum(counts) == 7 - start
 
 
 def test_to_reduced_golden(b_full, b_reduced):

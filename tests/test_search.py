@@ -221,3 +221,14 @@ def test_status_events_pinned():
         {"nodes": 1000, "depth": 7, "solutions": 0},
         {"nodes": 1231, "depth": 12, "solutions": 1},
     ]
+
+
+@pytest.mark.parametrize("n, h, every", [(14, 2, 7), (14, 2, 50), (14, 2, 333), (22, 2, 100_000)])
+def test_hdm_status_events_every_interval(n, h, every):
+    # Both kinds of HDM node, a b value and a (b, c) pair, can land on a
+    # multiple of the interval; each multiple reports once.
+    events = []
+    search_hdm(n, h, SearchConfig(n, status_interval=every), status=events.append)
+    total = events[-1]["nodes"]
+    assert [e["nodes"] for e in events[:-1]] == list(range(every, total + 1, every))
+    assert all(e["solutions"] == 0 for e in events[:-1])

@@ -7,11 +7,10 @@ from collections import Counter
 import pytest
 
 from diffcover.construct import dm_prime
-from diffcover.core import Kind, ResidueArray, diff_multiset
+from diffcover.core import Kind, ResidueArray, diff_counts
 from diffcover.verify import (
     BadShape,
     OddOrderStrict,
-    check_column_bound,
     verify_dca,
     verify_dm,
     verify_hdm,
@@ -108,8 +107,8 @@ def test_verify_dca_strict_golden(b_full):
     # The repeated difference is 3 = 6/2 in all three off-pairs.
     for j in range(3):
         for jp in range(j):
-            dm = diff_multiset(b_full, j, jp, range(6))
-            assert dm[3] == 2 and dm[0] == 0
+            counts = diff_counts(b_full.column(j)[:6], b_full.column(jp)[:6], 6)
+            assert counts[3] == 2 and counts[0] == 0
 
 
 def test_verify_dca_reduced_input(b_reduced):
@@ -152,15 +151,6 @@ def test_verify_dca_bad_shape_strict():
 def test_verify_dca_kind_precondition():
     with pytest.raises(ValueError):
         verify_dca(dm_prime(5, 4))
-
-
-def test_check_column_bound():
-    assert check_column_bound(4, 3)
-    assert not check_column_bound(5, 3)
-    assert check_column_bound(4, 4)
-    assert not check_column_bound(5, 4)
-    with pytest.raises(ValueError):
-        check_column_bound(3, 1)
 
 
 def test_report_json_shape(b_full):
