@@ -1,75 +1,100 @@
 """Cyclic difference covering arrays, the Latin squares they generate,
-and deterministic backtracking search for small ingredients."""
+and deterministic backtracking search for small ingredients.
 
-from .core import (
-    DesignError,
-    Form,
-    Kind,
-    NotNormalized,
-    ParseError,
-    ResidueArray,
-    diff_counts,
-    read_array,
-    to_full,
-    to_reduced,
-    write_array,
-)
-from .verify import (
-    BadHole,
-    BadShape,
-    CertificationFailed,
-    Check,
-    OddOrderStrict,
-    VerificationReport,
-    Witness,
-    verify_dca,
-    verify_dm,
-    verify_hdm,
-)
-from .construct import (
-    BadIndex,
-    BadParams,
-    FourMFamilyParams,
-    IngredientInvalid,
-    MismatchedK,
-    NoMethod,
-    NotPrime,
-    OddFamilyParams,
-    SixMuFamilyParams,
-    SpectrumEntry,
-    TooManyColumns,
-    construct_4m,
-    construct_4m_general,
-    construct_6mu,
-    construct_by_method,
-    construct_from_table,
-    construct_odd,
-    dm_prime,
-    hdm_product,
-    insert_hole,
-    params_odd,
-    spectrum_report,
-)
-from .latin import (
-    BadOrdering,
-    Classification,
-    LatinSquare,
-    OddOrder,
-    OrderMismatch,
-    check_row_complete,
-    classify_pair,
-    latin_from_dca,
-    mnols_set_check,
-    williams_order,
-    write_latin,
-)
-from .search import (
-    BudgetExhausted,
-    InfeasibleFixedColumns,
-    NoSolution,
-    SearchConfig,
-    search_hdm,
-    search_third_column,
-)
+The public names resolve on first use (PEP 562), so importing the
+package, or one of its modules such as ``diffcover.cli``, loads only the
+modules that are used.
+"""
 
+from importlib import import_module as _import_module
+
+_MODULES = {
+    "core": (
+        "BudgetExhausted",
+        "DesignError",
+        "Form",
+        "InfeasibleFixedColumns",
+        "Kind",
+        "NoSolution",
+        "NotNormalized",
+        "ParseError",
+        "ResidueArray",
+        "diff_counts",
+        "read_array",
+        "to_full",
+        "to_reduced",
+        "write_array",
+    ),
+    "verify": (
+        "BadHole",
+        "BadShape",
+        "CertificationFailed",
+        "Check",
+        "OddOrderStrict",
+        "VerificationReport",
+        "Witness",
+        "verify_dca",
+        "verify_dm",
+        "verify_hdm",
+    ),
+    "construct": (
+        "BadIndex",
+        "BadParams",
+        "FourMFamilyParams",
+        "IngredientInvalid",
+        "MismatchedK",
+        "NoMethod",
+        "NotPrime",
+        "OddFamilyParams",
+        "SixMuFamilyParams",
+        "SpectrumEntry",
+        "TooManyColumns",
+        "construct_4m",
+        "construct_4m_general",
+        "construct_6mu",
+        "construct_by_method",
+        "construct_from_table",
+        "construct_odd",
+        "dm_prime",
+        "hdm_product",
+        "insert_hole",
+        "params_odd",
+        "spectrum_report",
+    ),
+    "latin": (
+        "BadOrdering",
+        "Classification",
+        "LatinSquare",
+        "OddOrder",
+        "OrderMismatch",
+        "check_row_complete",
+        "classify_pair",
+        "latin_from_dca",
+        "mnols_set_check",
+        "williams_order",
+        "write_latin",
+    ),
+    "search": (
+        "SearchConfig",
+        "search_hdm",
+        "search_third_column",
+    ),
+}
+
+# Public name -> the module that defines it.
+_EXPORTS = {name: module for module, names in _MODULES.items() for name in names}
+
+__all__ = sorted(_EXPORTS)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str) -> object:
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -10,12 +10,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from importlib import import_module
 from itertools import combinations
-from typing import TextIO
+from typing import TYPE_CHECKING, TextIO
 
 from .core import (
+    BudgetExhausted,
     Form,
+    InfeasibleFixedColumns,
     Kind,
+    NoSolution,
     NotNormalized,
     ParseError,
     ResidueArray,
@@ -24,21 +28,6 @@ from .core import (
     write_array,
 )
 from .construct import METHODS, NoMethod, construct_by_method, spectrum_report
-from .latin import (
-    check_row_complete,
-    classify_pair,
-    latin_from_dca,
-    williams_order,
-    write_latin,
-)
-from .search import (
-    BudgetExhausted,
-    InfeasibleFixedColumns,
-    NoSolution,
-    SearchConfig,
-    search_hdm,
-    search_third_column,
-)
 from .verify import (
     BadHole,
     BadShape,
@@ -49,6 +38,35 @@ from .verify import (
     verify_dm,
     verify_hdm,
 )
+
+if TYPE_CHECKING:
+    from .latin import check_row_complete, classify_pair, latin_from_dca, williams_order, write_latin
+    from .search import SearchConfig, search_hdm, search_third_column
+
+# The names that only one command uses, by the module that defines them.
+# That command binds them here when it starts, so no other command
+# imports the module.  Reading one of them from outside binds them too
+# (``__getattr__``), so a caller may read or replace them beforehand; a
+# name bound already, such as such a replacement, is kept.
+_DEFERRED = {
+    "latin": ("check_row_complete", "classify_pair", "latin_from_dca", "williams_order", "write_latin"),
+    "search": ("SearchConfig", "search_hdm", "search_third_column"),
+}
+
+
+def _bind(module: str) -> None:
+    mod = import_module(f"{__package__}.{module}")
+    for name in _DEFERRED[module]:
+        globals().setdefault(name, getattr(mod, name))
+
+
+def __getattr__(name: str) -> object:
+    for module, names in _DEFERRED.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -140,6 +158,7 @@ def _status_stream(stream: TextIO):
 
 
 def cmd_search(args: argparse.Namespace) -> int:
+    _bind("search")
     status = _status_stream(sys.stderr)
     if args.hdm is not None:
         try:
@@ -179,6 +198,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_latin(args: argparse.Namespace) -> int:
+    _bind("latin")
     arr = read_array(_read_input(args.file))
     if arr.kind is not Kind.DCA:
         raise ValueError(f"latin derivation needs a DCA, got {arr.kind.value}")

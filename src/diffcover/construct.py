@@ -11,12 +11,11 @@ Constructors validate their parameters; the verifiers in
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
 from math import gcd, isqrt
 from typing import Callable, Iterator, NamedTuple
 
 from . import tables
-from .core import DesignError, Form, Kind, ResidueArray, to_full
+from .core import DesignError, Form, Kind, Record, ResidueArray, to_full
 from .verify import CertificationFailed, OddOrderStrict, verify_dca, verify_dm, verify_hdm
 
 
@@ -48,15 +47,18 @@ class NoMethod(DesignError):
     """No implemented method covers the requested order."""
 
 
-@dataclass(frozen=True)
-class OddFamilyParams:
-    """Parameters (m odd, f even) of the doubled-odd-order family."""
-
+class _ParamsMF(NamedTuple):
     m: int
     f: int
 
-    def __post_init__(self) -> None:
-        m, f = self.m, self.f
+
+class OddFamilyParams(Record, _ParamsMF):
+    """Parameters (m odd, f even) of the doubled-odd-order family."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
+        m, f = self
         n = 2 * m
         if m < 2:
             raise BadParams(f"m must be at least 2, got {m}")
@@ -73,15 +75,13 @@ class OddFamilyParams:
         assert gcd(2 * f + 1, m) == 1 and (m * f) % n == 0
 
 
-@dataclass(frozen=True)
-class FourMFamilyParams:
+class FourMFamilyParams(Record, _ParamsMF):
     """Parameters (m = 2 mod 4, f even) of the quadrupled-order family."""
 
-    m: int
-    f: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        m, f = self.m, self.f
+    def _check(self) -> None:
+        m, f = self
         n = 4 * m
         if m % 4 != 2:
             raise BadParams(f"m must be 2 mod 4, got {m}")
@@ -95,13 +95,16 @@ class FourMFamilyParams:
         assert gcd(2 * m - 2 * f + 2, n) == 2 and (m * f - 2 * m) % n == 0
 
 
-@dataclass(frozen=True)
-class SixMuFamilyParams:
-    """Parameter (odd mu >= 1) of the order 6*mu+4 family."""
-
+class _ParamsMu(NamedTuple):
     mu: int
 
-    def __post_init__(self) -> None:
+
+class SixMuFamilyParams(Record, _ParamsMu):
+    """Parameter (odd mu >= 1) of the order 6*mu+4 family."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if self.mu < 1 or self.mu % 2 == 0:
             raise BadParams(f"mu must be an odd positive integer, got {self.mu}")
 
@@ -358,7 +361,7 @@ class Method(NamedTuple):
 # an order.
 METHODS: tuple[Method, ...] = (
     Method("table", lambda order: order if order in tables.TABLE_ORDERS else None, construct_from_table),
-    Method("odd-f", _odd_f_index, lambda i: construct_odd(*astuple(params_odd(i))), "i"),
+    Method("odd-f", _odd_f_index, lambda i: construct_odd(*params_odd(i)), "i"),
     Method("four-m", _four_m_index, construct_4m, "k"),
     Method("six-mu", lambda order: (order - 4) // 6 if order % 12 == 10 else None, construct_6mu, "mu"),
 )
@@ -385,8 +388,7 @@ def methods_for_order(order: int) -> tuple[str, ...]:
     return tuple(m.name for m in METHODS if m.params_for(order) is not None)
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
+class SpectrumEntry(NamedTuple):
     """Spectrum row: which internal methods construct the order, and how
     the published record resolves it otherwise."""
 

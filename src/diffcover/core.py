@@ -12,10 +12,9 @@ residue occurs as a difference of two columns (:func:`diff_counts`).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 from operator import sub
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 
 class DesignError(Exception):
@@ -30,6 +29,35 @@ class NotNormalized(DesignError):
     """Array lacks the all-zero last row/column required by the operation."""
 
 
+class BudgetExhausted(DesignError):
+    """Node budget ran out before any result was found."""
+
+
+class InfeasibleFixedColumns(DesignError):
+    """The fixed column pair violates the difference profile."""
+
+
+class NoSolution(DesignError):
+    """The full search space was exhausted without a solution."""
+
+
+class Record:
+    """Base of the validated records.  Listed before a NamedTuple of the
+    fields, it runs the subclass's ``_check`` on every construction,
+    ``_make`` and ``_replace`` included; a failing check raises."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
 class Kind(str, Enum):
     DM = "DM"
     HDM = "HDM"
@@ -41,8 +69,15 @@ class Form(str, Enum):
     REDUCED = "reduced"
 
 
-@dataclass(frozen=True)
-class ResidueArray:
+class _ResidueArray(NamedTuple):
+    kind: Kind
+    order: int
+    hole: int
+    form: Form
+    entries: tuple[tuple[int, ...], ...]
+
+
+class ResidueArray(Record, _ResidueArray):
     """Rectangular array of residues mod ``order`` with design metadata.
 
     ``hole`` is 0 for DM/DCA; for an HDM it is the order h of the hole
@@ -50,13 +85,9 @@ class ResidueArray:
     only for DCAs (the all-zero last row and column stripped).
     """
 
-    kind: Kind
-    order: int
-    hole: int
-    form: Form
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.order < 1:
             raise ValueError(f"order must be positive, got {self.order}")
         if not self.entries:
@@ -171,9 +202,9 @@ def write_array(a: ResidueArray, fmt: str = "text") -> str:
     header = f"kind={a.kind.value} k={a.columns} n={a.order} h={a.hole} form={a.form.value}"
     if lam is not None:
         header += f" lambda={lam}"
-    lines = [header]
-    lines.extend(" ".join(str(v) for v in row) for row in a.entries)
-    return "\n".join(lines) + "\n"
+    # One format string per row: "%d %d %d" for three columns.
+    row = " ".join(["%d"] * a.columns)
+    return "\n".join([header, *map(row.__mod__, a.entries)]) + "\n"
 
 
 def _json_int(v: object) -> int:

@@ -10,11 +10,11 @@ successive differences are distinct, so both are decided in O(n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
+from typing import NamedTuple
 
-from .core import DesignError, Form, Kind, ResidueArray, diff_counts
+from .core import DesignError, Form, Kind, Record, ResidueArray, diff_counts
 from .verify import Check, VerificationReport, Witness
 
 
@@ -34,16 +34,19 @@ def _is_permutation(seq, n: int) -> bool:
     return len(seq) == n and set(seq) == set(range(n))
 
 
-@dataclass(frozen=True)
-class LatinSquare:
+class _LatinSquare(NamedTuple):
+    order: int
+    offsets: tuple[int, ...]
+
+
+class LatinSquare(Record, _LatinSquare):
     """The cyclic Latin square L[i][j] = offsets[i] + j mod n.  It is Latin
     iff the offsets are a permutation of the residues 0..n-1 (validated on
     construction)."""
 
-    order: int
-    offsets: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not _is_permutation(self.offsets, self.order):
             raise ValueError(f"offsets are not a permutation of 0..{self.order - 1}")
 

@@ -21,33 +21,16 @@ Searches never self-certify; callers verify outputs independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
-from .core import DesignError, Kind, ResidueArray, diff_counts
+from .core import BudgetExhausted, InfeasibleFixedColumns, Kind, NoSolution, Record, ResidueArray, diff_counts
 from .tables import odd_even_column
 from .verify import BadHole
 
 StatusFn = Callable[[dict[str, int]], None]
 
 
-class BudgetExhausted(DesignError):
-    """Node budget ran out before any result was found."""
-
-
-class InfeasibleFixedColumns(DesignError):
-    """The fixed column pair violates the difference profile."""
-
-
-class NoSolution(DesignError):
-    """The full search space was exhausted without a solution."""
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """Deterministic search parameters.  ``col0``/``col1`` default to the
-    identity and the odd-then-even pattern."""
-
+class _SearchConfig(NamedTuple):
     order: int
     col0: tuple[int, ...] | None = None
     col1: tuple[int, ...] | None = None
@@ -55,7 +38,14 @@ class SearchConfig:
     result_limit: int | None = None
     status_interval: int = 0
 
-    def __post_init__(self) -> None:
+
+class SearchConfig(Record, _SearchConfig):
+    """Deterministic search parameters.  ``col0``/``col1`` default to the
+    identity and the odd-then-even pattern."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if self.node_budget < 1:
             raise ValueError(f"node budget must be positive, got {self.node_budget}")
         if self.result_limit is not None and self.result_limit < 1:

@@ -12,8 +12,7 @@ smallest residue.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .core import DesignError, Form, Kind, ResidueArray, diff_counts, to_full
 
@@ -34,8 +33,7 @@ class CertificationFailed(DesignError):
     """An array about to be returned or emitted failed its verification."""
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """Location of a violation: column pair or single column, offending
     residue, and the expected/actual multiplicities."""
 
@@ -60,17 +58,23 @@ class Witness:
         return obj
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     passed: bool
     witness: Witness | None = None
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class _VerificationReport(NamedTuple):
     checks: tuple[Check, ...]
-    meta: dict = field(default_factory=dict)
+    meta: dict
+
+
+class VerificationReport(_VerificationReport):
+    __slots__ = ()
+
+    def __new__(cls, checks: tuple[Check, ...], meta: dict | None = None) -> VerificationReport:
+        # Each report gets a dict of its own when none is given.
+        return super().__new__(cls, checks, {} if meta is None else meta)
 
     @property
     def passed(self) -> bool:

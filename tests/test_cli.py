@@ -354,6 +354,42 @@ def test_python_m_matches_main(capsys):
     assert (proc.returncode, proc.stdout) == (code, want)
 
 
+def test_cli_import_loads_no_dataclasses():
+    proc = _run_python("-c", "import sys, diffcover.cli; print(*sys.modules)")
+    loaded = set(proc.stdout.split())
+    assert "diffcover.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "diffcover.latin", "diffcover.search"}
+
+
+@pytest.mark.parametrize(
+    "argv, deferred",
+    [
+        (["spectrum", "--min", "6", "--max", "6"], []),
+        (["construct", "--order", "26"], []),
+        (["verify", "{b_file}", "--strict"], []),
+        (["latin", "{b_file}", "--classify", "--williams"], ["diffcover.latin"]),
+        (["search", "--order", "14"], ["diffcover.search"]),
+        (["search", "--hdm", "14,2"], ["diffcover.search"]),
+    ],
+    ids=["spectrum", "construct", "verify", "latin", "search", "search-hdm"],
+)
+def test_commands_import_only_their_modules(argv, deferred, b_file):
+    # Which modules a command loads, read off sys.modules after it ran.
+    script = (
+        "import sys\n"
+        "from diffcover.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, *sorted(sys.modules), file=sys.stderr)\n"
+    )
+    argv = [arg.format(b_file=b_file) for arg in argv]
+    proc = _run_python("-c", script, *argv)
+    code, *loaded = proc.stderr.splitlines()[-1].split()
+    assert code == "0"
+    assert proc.stdout
+    checked = {"dataclasses", "inspect", "diffcover.latin", "diffcover.search"}
+    assert sorted(checked.intersection(loaded)) == deferred
+
+
 def test_emit_array_check_survives_optimize():
     # Under -O a failing report must still stop emission.
     script = (

@@ -126,6 +126,18 @@ def test_round_trip_bit_exact(fmt, b_full, b_reduced):
         assert write_array(again, fmt=fmt) == payload
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 7])
+@pytest.mark.parametrize("n", [11, 1009])
+def test_text_rows_match_joined_str(n, k):
+    # Each row is written with one "%d ..." format; the bytes are those
+    # of joining str() of the entries, the earlier rendering.
+    rows = [tuple(i * (j + 1) % n for j in range(k - 1)) + (0,) for i in range(n)]
+    arr = ResidueArray.from_rows(Kind.DM, n, rows)
+    header = f"kind=DM k={k} n={n} h=0 form=full lambda=1"
+    want = "\n".join([header, *(" ".join(str(v) for v in row) for row in rows)]) + "\n"
+    assert write_array(arr) == want
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_round_trip_constructed_arrays(fmt):
     # Serialization is exact for a representative of every constructor.
