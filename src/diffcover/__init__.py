@@ -40,13 +40,10 @@ _MODULES = {
     "construct": (
         "BadIndex",
         "BadParams",
-        "FourMFamilyParams",
         "IngredientInvalid",
         "MismatchedK",
         "NoMethod",
         "NotPrime",
-        "OddFamilyParams",
-        "SixMuFamilyParams",
         "SpectrumEntry",
         "TooManyColumns",
         "construct_4m",
@@ -75,7 +72,6 @@ _MODULES = {
         "write_latin",
     ),
     "search": (
-        "SearchConfig",
         "search_hdm",
         "search_third_column",
     ),

@@ -27,7 +27,7 @@ from .core import (
     to_reduced,
     write_array,
 )
-from .construct import METHODS, NoMethod, construct_by_method, spectrum_report
+from .construct import METHODS, NoMethod, construct_by_method, dca_from_third_column, spectrum_report
 from .verify import (
     BadHole,
     BadShape,
@@ -41,7 +41,7 @@ from .verify import (
 
 if TYPE_CHECKING:
     from .latin import check_row_complete, classify_pair, latin_from_dca, williams_order, write_latin
-    from .search import SearchConfig, search_hdm, search_third_column
+    from .search import search_hdm, search_third_column
 
 # The names that only one command uses, by the module that defines them.
 # That command binds them here when it starts, so no other command
@@ -50,7 +50,7 @@ if TYPE_CHECKING:
 # name bound already, such as such a replacement, is kept.
 _DEFERRED = {
     "latin": ("check_row_complete", "classify_pair", "latin_from_dca", "williams_order", "write_latin"),
-    "search": ("SearchConfig", "search_hdm", "search_third_column"),
+    "search": ("search_hdm", "search_third_column"),
 }
 
 
@@ -165,35 +165,27 @@ def cmd_search(args: argparse.Namespace) -> int:
             n, h = (int(tok) for tok in args.hdm.split(","))
         except ValueError:
             raise ValueError(f"--hdm expects n,h, got {args.hdm!r}") from None
-        cfg = SearchConfig(order=n, node_budget=args.budget, status_interval=args.status_interval)
-        arr = search_hdm(n, h, cfg, status=status)
+        arr = search_hdm(
+            n, h, node_budget=args.budget, status_interval=args.status_interval, status=status
+        )
         _emit_array(arr, verify_hdm(arr), args.format)
         return EXIT_OK
-    n = args.order
-    if n is None:
+    if args.order is None:
         raise ValueError("one of --order or --hdm is required")
-    cfg = SearchConfig(
-        order=n,
+    columns = search_third_column(
+        args.order,
         node_budget=args.budget,
         result_limit=args.limit,
         status_interval=args.status_interval,
+        status=status,
     )
-    columns = search_third_column(cfg, status=status)
     if not columns:
         raise NoSolution("search space exhausted without a solution")
-    from .tables import odd_even_column
-
-    col0 = tuple(range(n))
-    col1 = odd_even_column(n)
-    first = True
-    for col2 in columns:
-        arr = ResidueArray.from_rows(
-            Kind.DCA, n, zip(col0, col1, col2), form=Form.REDUCED
-        )
-        if not first:
+    for i, col2 in enumerate(columns):
+        arr = dca_from_third_column(col2)
+        if i:
             sys.stdout.write("\n")
         _emit_array(arr, verify_dca(arr, strict=True), args.format)
-        first = False
     return EXIT_OK
 
 

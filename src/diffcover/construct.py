@@ -15,7 +15,7 @@ from math import gcd, isqrt
 from typing import Callable, Iterator, NamedTuple
 
 from . import tables
-from .core import DesignError, Form, Kind, Record, ResidueArray, to_full
+from .core import DesignError, Form, Kind, ResidueArray, to_full
 from .verify import CertificationFailed, OddOrderStrict, verify_dca, verify_dm, verify_hdm
 
 
@@ -47,68 +47,6 @@ class NoMethod(DesignError):
     """No implemented method covers the requested order."""
 
 
-class _ParamsMF(NamedTuple):
-    m: int
-    f: int
-
-
-class OddFamilyParams(Record, _ParamsMF):
-    """Parameters (m odd, f even) of the doubled-odd-order family."""
-
-    __slots__ = ()
-
-    def _check(self) -> None:
-        m, f = self
-        n = 2 * m
-        if m < 2:
-            raise BadParams(f"m must be at least 2, got {m}")
-        if gcd(f, n) != 2:
-            raise BadParams(f"gcd(f, 2m) = gcd({f}, {n}) = {gcd(f, n)}, expected 2")
-        if gcd(f + 2, n) != 2:
-            raise BadParams(f"gcd(f+2, 2m) = gcd({f + 2}, {n}) = {gcd(f + 2, n)}, expected 2")
-        if (f * f + f + 1 - m) % n:
-            raise BadParams(f"f^2+f+1 = {f * f + f + 1} is not {m} mod {n}")
-        if not m + 3 <= f <= n - 4:
-            raise BadParams(f"f = {f} outside [m+3, 2m-4] = [{m + 3}, {n - 4}]")
-        # Consequences of the assumptions; failures would be internal bugs.
-        assert gcd(f, m) == 1 and gcd(f + 1, m) == 1 and gcd(f - 1, m) == 1
-        assert gcd(2 * f + 1, m) == 1 and (m * f) % n == 0
-
-
-class FourMFamilyParams(Record, _ParamsMF):
-    """Parameters (m = 2 mod 4, f even) of the quadrupled-order family."""
-
-    __slots__ = ()
-
-    def _check(self) -> None:
-        m, f = self
-        n = 4 * m
-        if m % 4 != 2:
-            raise BadParams(f"m must be 2 mod 4, got {m}")
-        if gcd(f, n) != 2:
-            raise BadParams(f"gcd(f, 4m) = gcd({f}, {n}) = {gcd(f, n)}, expected 2")
-        if gcd(f - 1, n) != 1:
-            raise BadParams(f"gcd(f-1, 4m) = gcd({f - 1}, {n}) = {gcd(f - 1, n)}, expected 1")
-        if (f * f + f - 2 - 2 * m) % n:
-            raise BadParams(f"f^2+f-2 = {f * f + f - 2} is not {2 * m} mod {n}")
-        assert gcd(2 * m + 2 - f, n) == 4 and gcd(2 * m - f + 1, n) == 1
-        assert gcd(2 * m - 2 * f + 2, n) == 2 and (m * f - 2 * m) % n == 0
-
-
-class _ParamsMu(NamedTuple):
-    mu: int
-
-
-class SixMuFamilyParams(Record, _ParamsMu):
-    """Parameter (odd mu >= 1) of the order 6*mu+4 family."""
-
-    __slots__ = ()
-
-    def _check(self) -> None:
-        if self.mu < 1 or self.mu % 2 == 0:
-            raise BadParams(f"mu must be an odd positive integer, got {self.mu}")
-
-
 def _reduced_dca(order: int, rows: list[tuple[int, int, int]]) -> ResidueArray:
     return ResidueArray.from_rows(Kind.DCA, order, rows, form=Form.REDUCED)
 
@@ -138,8 +76,20 @@ def construct_odd(m: int, f: int) -> ResidueArray:
     Row a carries (a, b(a), c(a)) where b jumps by f and c by -(f+1) on
     each of four intervals of the first column.
     """
-    OddFamilyParams(m, f)
     n = 2 * m
+    if m < 2:
+        raise BadParams(f"m must be at least 2, got {m}")
+    if gcd(f, n) != 2:
+        raise BadParams(f"gcd(f, 2m) = gcd({f}, {n}) = {gcd(f, n)}, expected 2")
+    if gcd(f + 2, n) != 2:
+        raise BadParams(f"gcd(f+2, 2m) = gcd({f + 2}, {n}) = {gcd(f + 2, n)}, expected 2")
+    if (f * f + f + 1 - m) % n:
+        raise BadParams(f"f^2+f+1 = {f * f + f + 1} is not {m} mod {n}")
+    if not m + 3 <= f <= n - 4:
+        raise BadParams(f"f = {f} outside [m+3, 2m-4] = [{m + 3}, {n - 4}]")
+    # Consequences of the assumptions; failures would be internal bugs.
+    assert gcd(f, m) == 1 and gcd(f + 1, m) == 1 and gcd(f - 1, m) == 1
+    assert gcd(2 * f + 1, m) == 1 and (m * f) % n == 0
     piece = _interval_pieces(
         n, [(0, m + f), (m + f + 1, m - 1), (m, m - f - 1), (m - f, n - 1)]
     )
@@ -159,20 +109,29 @@ def construct_odd(m: int, f: int) -> ResidueArray:
     return _reduced_dca(n, rows)
 
 
-def params_odd(i: int) -> OddFamilyParams:
+def params_odd(i: int) -> tuple[int, int]:
     """Parameters of the infinite subfamily indexed by i >= 0, i != 2 mod 3:
     m = 2(2i^2+7i+6)+1 and f = m+3+2i."""
     if i < 0 or i % 3 == 2:
         raise BadIndex(f"index must be non-negative and not 2 mod 3, got {i}")
     m = 2 * (2 * i * i + 7 * i + 6) + 1
-    return OddFamilyParams(m, m + 3 + 2 * i)
+    return m, m + 3 + 2 * i
 
 
 def construct_4m_general(m: int, f: int) -> ResidueArray:
     """Reduced cyclic DCA(4, 4m+1; 4m) for m = 2 mod 4 and even f with
     gcd(f, 4m) = 2, gcd(f-1, 4m) = 1 and f^2+f-2 = 2m mod 4m."""
-    FourMFamilyParams(m, f)
     n = 4 * m
+    if m % 4 != 2:
+        raise BadParams(f"m must be 2 mod 4, got {m}")
+    if gcd(f, n) != 2:
+        raise BadParams(f"gcd(f, 4m) = gcd({f}, {n}) = {gcd(f, n)}, expected 2")
+    if gcd(f - 1, n) != 1:
+        raise BadParams(f"gcd(f-1, 4m) = gcd({f - 1}, {n}) = {gcd(f - 1, n)}, expected 1")
+    if (f * f + f - 2 - 2 * m) % n:
+        raise BadParams(f"f^2+f-2 = {f * f + f - 2} is not {2 * m} mod {n}")
+    assert gcd(2 * m + 2 - f, n) == 4 and gcd(2 * m - f + 1, n) == 1
+    assert gcd(2 * m - 2 * f + 2, n) == 2 and (m * f - 2 * m) % n == 0
     t = 2 * m - f + 2
     rows = []
     for a in range(n):
@@ -209,7 +168,8 @@ def construct_6mu(mu: int) -> ResidueArray:
     permutation of the residues; rows are indexed by alpha over six
     intervals.
     """
-    SixMuFamilyParams(mu)
+    if mu < 1 or mu % 2 == 0:
+        raise BadParams(f"mu must be an odd positive integer, got {mu}")
     n = 6 * mu + 4
     bounds = [
         (0, mu - 1),
@@ -233,20 +193,22 @@ def construct_6mu(mu: int) -> ResidueArray:
     return arr
 
 
+def dca_from_third_column(col2: tuple[int, ...]) -> ResidueArray:
+    """Reduced array whose first two columns are the ones the third-column
+    search fixes (the identity and the odd-then-even pattern) and whose
+    third column is ``col2``."""
+    n = len(col2)
+    return _reduced_dca(n, list(zip(range(n), tables.odd_even_column(n), col2)))
+
+
 def construct_from_table(order: int) -> ResidueArray:
     """Reduced DCA(4, order+1; order) from the stored tables (order 6 and
     the eight computer-searched orders 24..54)."""
     if order == 6:
-        cols = tables.BASE_6_COLUMNS
-    elif order in tables.SEARCHED_THIRD_COLUMNS:
-        cols = (
-            tuple(range(order)),
-            tables.odd_even_column(order),
-            tables.SEARCHED_THIRD_COLUMNS[order],
-        )
-    else:
-        raise NoMethod(f"no stored table for order {order}")
-    return _reduced_dca(order, list(zip(*cols)))
+        return _reduced_dca(order, list(zip(*tables.BASE_6_COLUMNS)))
+    if order in tables.SEARCHED_THIRD_COLUMNS:
+        return dca_from_third_column(tables.SEARCHED_THIRD_COLUMNS[order])
+    raise NoMethod(f"no stored table for order {order}")
 
 
 def _is_prime(p: int) -> bool:
@@ -336,7 +298,7 @@ def _odd_f_index(order: int) -> int | None:
     # order = 2m with m = 2(2i^2+7i+6)+1 exactly when 2*order - 3 = (4i+7)^2.
     i = (isqrt(max(2 * order - 3, 0)) - 7) // 4
     try:
-        return i if 2 * params_odd(i).m == order else None
+        return i if 2 * params_odd(i)[0] == order else None
     except BadIndex:
         return None
 

@@ -16,40 +16,35 @@ is the pending one with the fewest remaining (value, value) options, with
 ties and candidates resolved in ascending order.  Row choice affects only
 speed, never the set of solutions, and is deterministic.
 
+Both searches take their settings as keyword arguments: ``node_budget``
+(nodes before BudgetExhausted), ``status_interval`` and ``status`` (a
+callback given a counter dict every ``status_interval`` nodes when the
+interval is positive, and once more at the end unless the budget runs
+out with nothing found), and for the third-column
+search ``result_limit`` (stop after this many solutions) and the fixed
+columns ``col0``/``col1``.
+
 Searches never self-certify; callers verify outputs independently.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import Callable
 
-from .core import BudgetExhausted, InfeasibleFixedColumns, Kind, NoSolution, Record, ResidueArray, diff_counts
+from .core import BudgetExhausted, InfeasibleFixedColumns, Kind, NoSolution, ResidueArray, diff_counts
 from .tables import odd_even_column
 from .verify import BadHole
 
 StatusFn = Callable[[dict[str, int]], None]
 
 
-class _SearchConfig(NamedTuple):
-    order: int
-    col0: tuple[int, ...] | None = None
-    col1: tuple[int, ...] | None = None
-    node_budget: int = 10**9
-    result_limit: int | None = None
-    status_interval: int = 0
-
-
-class SearchConfig(Record, _SearchConfig):
-    """Deterministic search parameters.  ``col0``/``col1`` default to the
-    identity and the odd-then-even pattern."""
-
-    __slots__ = ()
-
-    def _check(self) -> None:
-        if self.node_budget < 1:
-            raise ValueError(f"node budget must be positive, got {self.node_budget}")
-        if self.result_limit is not None and self.result_limit < 1:
-            raise ValueError(f"result limit must be positive, got {self.result_limit}")
+def _check_settings(node_budget: int, status_interval: int, result_limit: int | None = None) -> None:
+    if node_budget < 1:
+        raise ValueError(f"node budget must be positive, got {node_budget}")
+    if result_limit is not None and result_limit < 1:
+        raise ValueError(f"result limit must be positive, got {result_limit}")
+    if status_interval < 0:
+        raise ValueError(f"status interval must be non-negative, got {status_interval}")
 
 
 class _Budget(Exception):
@@ -69,27 +64,33 @@ def _doubled_bits(n: int) -> list[int]:
     return [1 << d | 1 << d + n for d in range(n)]
 
 
-def _fixed_columns(cfg: SearchConfig) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    n = cfg.order
-    col0 = cfg.col0 if cfg.col0 is not None else tuple(range(n))
-    col1 = cfg.col1 if cfg.col1 is not None else odd_even_column(n)
-    for name, col in (("col0", col0), ("col1", col1)):
-        if sorted(col) != list(range(n)):
-            raise ValueError(f"{name} must be a permutation of the residues")
-    return col0, col1
-
-
-def search_third_column(cfg: SearchConfig, status: StatusFn | None = None) -> list[tuple[int, ...]]:
+def search_third_column(
+    order: int,
+    *,
+    col0: tuple[int, ...] | None = None,
+    col1: tuple[int, ...] | None = None,
+    node_budget: int = 10**9,
+    result_limit: int | None = None,
+    status_interval: int = 0,
+    status: StatusFn | None = None,
+) -> list[tuple[int, ...]]:
     """All third columns completing the fixed pair to a strict reduced
     DCA(4, n+1; n), in lexicographic order, up to ``result_limit``.
+    ``col0``/``col1`` default to the identity and the odd-then-even
+    pattern.
 
     Raises BudgetExhausted only when the budget runs out with nothing
     found; a partial list is returned otherwise.
     """
-    n = cfg.order
+    _check_settings(node_budget, status_interval, result_limit)
+    n = order
     if n % 2 or n < 6:
         raise ValueError(f"order must be even and at least 6, got {n}")
-    col0, col1 = _fixed_columns(cfg)
+    col0 = col0 if col0 is not None else tuple(range(n))
+    col1 = col1 if col1 is not None else odd_even_column(n)
+    for name, col in (("col0", col0), ("col1", col1)):
+        if sorted(col) != list(range(n)):
+            raise ValueError(f"{name} must be a permutation of the residues")
     if diff_counts(col1, col0, n) != _difference_caps(n):
         raise InfeasibleFixedColumns("fixed columns do not satisfy the difference profile")
 
@@ -103,15 +104,13 @@ def search_third_column(cfg: SearchConfig, status: StatusFn | None = None) -> li
     column = [0] * n
     solutions: list[tuple[int, ...]] = []
     nodes = 0
-    limit = cfg.result_limit
-    budget = cfg.node_budget
-    every = cfg.status_interval if status is not None else 0
+    every = status_interval if status is not None else 0
 
     def dfs(i: int, free: int, a0: int, a1: int) -> bool:
         nonlocal nodes
         if i == n:
             solutions.append(tuple(column))
-            return len(solutions) == limit
+            return len(solutions) == result_limit
         c0 = col0[i]
         c1 = col1[i]
         cand = free & a0 >> n - c0 & a1 >> n - c1
@@ -119,7 +118,7 @@ def search_third_column(cfg: SearchConfig, status: StatusFn | None = None) -> li
             b = cand & -cand
             cand ^= b
             nodes += 1
-            if nodes > budget:
+            if nodes > node_budget:
                 raise _Budget
             if every and not nodes % every:
                 status({"nodes": nodes, "depth": i, "solutions": len(solutions)})
@@ -137,26 +136,31 @@ def search_third_column(cfg: SearchConfig, status: StatusFn | None = None) -> li
         dfs(0, full, avail, avail)
     except _Budget:
         if not solutions:
-            raise BudgetExhausted(f"no solution within {budget} nodes") from None
+            raise BudgetExhausted(f"no solution within {node_budget} nodes") from None
     if status is not None:
         status({"nodes": nodes, "depth": n, "solutions": len(solutions)})
     return solutions
 
 
 def search_hdm(
-    n: int, h: int, cfg: SearchConfig | None = None, status: StatusFn | None = None
+    n: int,
+    h: int,
+    *,
+    node_budget: int = 10**9,
+    status_interval: int = 0,
+    status: StatusFn | None = None,
 ) -> ResidueArray:
     """First cyclic HDM(4, n; h) found, with the last column all zero and
     the first column the non-hole residues ascending (both lossless row
     and column normalizations).
 
     Raises NoSolution when the space is exhausted, BudgetExhausted when
-    the node budget of ``cfg`` runs out first.
+    the node budget runs out first.
     """
+    _check_settings(node_budget, status_interval)
     if h < 1 or h >= n or n % h:
         raise BadHole(f"hole {h} must divide order {n} with 1 <= h < n")
-    budget = cfg.node_budget if cfg is not None else 10**9
-    every = cfg.status_interval if cfg is not None and status is not None else 0
+    every = status_interval if status is not None else 0
     u = n // h
     hole = {j * u for j in range(h)}
     nonhole = [v for v in range(n) if v not in hole]
@@ -195,7 +199,7 @@ def search_hdm(
             mb ^= b
             bv = b.bit_length() - 1
             nodes += 1
-            if nodes > budget:
+            if nodes > node_budget:
                 raise _Budget
             if every and not nodes % every:
                 status({"nodes": nodes, "depth": depth, "solutions": 0})
@@ -205,7 +209,7 @@ def search_hdm(
                 mc ^= c
                 cv = c.bit_length() - 1
                 nodes += 1
-                if nodes > budget:
+                if nodes > node_budget:
                     raise _Budget
                 if every and not nodes % every:
                     status({"nodes": nodes, "depth": depth, "solutions": 0})
@@ -221,7 +225,7 @@ def search_hdm(
     try:
         found = dfs(nonhole, nonhole_mask, nonhole_mask, avail, avail, avail)
     except _Budget:
-        raise BudgetExhausted(f"no HDM(4,{n};{h}) within {budget} nodes") from None
+        raise BudgetExhausted(f"no HDM(4,{n};{h}) within {node_budget} nodes") from None
     if status is not None:
         status({"nodes": nodes, "depth": n - h, "solutions": int(found)})
     if not found:

@@ -34,7 +34,7 @@ from diffcover.latin import (
     mnols_set_check,
     williams_order,
 )
-from diffcover.search import SearchConfig, search_hdm, search_third_column
+from diffcover.search import search_hdm, search_third_column
 from diffcover.tables import SEARCHED_THIRD_COLUMNS, odd_even_column
 from diffcover.verify import verify_dca, verify_hdm
 
@@ -81,7 +81,7 @@ def assemble_reduced(order: int, col2: tuple[int, ...]) -> ResidueArray:
 
 def searched_fourteen() -> ResidueArray:
     if "dca14" not in _cache:
-        cols = search_third_column(SearchConfig(14, result_limit=1))
+        cols = search_third_column(14, result_limit=1)
         _cache["dca14"] = assemble_reduced(14, cols[0])
     return _cache["dca14"]
 
@@ -101,7 +101,7 @@ def pipeline_thirty() -> ResidueArray:
 
 def searched_twenty_four() -> ResidueArray:
     if "dca24" not in _cache:
-        cols = search_third_column(SearchConfig(24, result_limit=1, node_budget=10**8))
+        cols = search_third_column(24, result_limit=1, node_budget=10**8)
         _cache["dca24"] = assemble_reduced(24, cols[0])
     return _cache["dca24"]
 
@@ -120,8 +120,7 @@ def produced_dcas():
 
     yield from emit("worked-example", construct_odd(13, 16))
     for i in ODD_SWEEP:
-        p = params_odd(i)
-        yield from emit(f"odd-f i={i}", construct_odd(p.m, p.f))
+        yield from emit(f"odd-f i={i}", construct_odd(*params_odd(i)))
     for k in FOUR_M_SWEEP:
         yield from emit(f"four-m k={k}", construct_4m(k))
     for mu in SIX_MU_SWEEP:
@@ -174,9 +173,9 @@ def test_criterion_03_family_sweeps():
     t0 = time.perf_counter()
     count = 0
     for i in ODD_SWEEP:
-        p = params_odd(i)
-        assert p.m == 2 * (2 * i * i + 7 * i + 6) + 1
-        arr = construct_odd(p.m, p.f)
+        m, f = params_odd(i)
+        assert m == 2 * (2 * i * i + 7 * i + 6) + 1
+        arr = construct_odd(m, f)
         assert verify_dca(arr, strict=True).passed
         count += 1
     for k in FOUR_M_SWEEP:
@@ -209,7 +208,7 @@ def test_criterion_05_search_reproduction():
     published = assemble_reduced(24, SEARCHED_THIRD_COLUMNS[24])
     assert verify_dca(published, strict=True).passed
     # At order 6 the pruned search reproduces the exhaustive oracle.
-    assert search_third_column(SearchConfig(6)) == enumerate_third_columns(6)
+    assert search_third_column(6) == enumerate_third_columns(6)
     report_line(5, "search-reproduction", time.perf_counter() - t0, 300.0)
 
 

@@ -135,9 +135,15 @@ def test_search_usage(capsys):
         ["--hdm", "11,2"],
         ["--order", "6", "--budget", "0"],
         ["--order", "6", "--limit", "0"],
+        ["--order", "10", "--status-interval", "-1"],
+        ["--hdm", "10,2", "--status-interval", "-1"],
     ):
         assert main(["search", *argv]) == 2, argv
         assert "error:" in capsys.readouterr().err, argv
+    # With two bad values the budget is the one reported.
+    for argv in (["--order", "4", "--budget", "0"], ["--hdm", "10,0", "--budget", "0"]):
+        assert main(["search", *argv]) == 2, argv
+        assert capsys.readouterr() == ("", "error: node budget must be positive, got 0\n"), argv
 
 
 def test_latin_classify(b_file, capsys):

@@ -13,7 +13,6 @@ from diffcover.construct import (
     MismatchedK,
     NoMethod,
     NotPrime,
-    OddFamilyParams,
     TooManyColumns,
     construct_4m,
     construct_4m_general,
@@ -87,9 +86,8 @@ def test_construct_odd_bad_params(m, f, fragment):
 
 
 def test_params_odd():
-    p0 = params_odd(0)
-    assert (p0.m, p0.f) == (13, 16)
-    assert params_odd(4).m == 133
+    assert params_odd(0) == (13, 16)
+    assert params_odd(4)[0] == 133
     for bad in (2, 5, -1):
         with pytest.raises(BadIndex):
             params_odd(bad)
@@ -97,8 +95,10 @@ def test_params_odd():
 
 def test_params_odd_satisfies_invariants():
     for i in (0, 1, 3, 4, 6):
-        params = params_odd(i)  # OddFamilyParams validates on construction
-        assert isinstance(params, OddFamilyParams)
+        m, f = params_odd(i)
+        assert f == m + 3 + 2 * i
+        # construct_odd checks every condition on (m, f).
+        assert construct_odd(m, f).order == 2 * m
 
 
 def test_construct_4m():

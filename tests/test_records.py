@@ -1,6 +1,6 @@
-"""The public names of the package and the behaviour of its record types:
-keyword construction, defaults, equality, hashing, immutability, repr and
-validation errors."""
+"""The public names of the package, the behaviour of its record types
+(keyword construction, defaults, equality, hashing, immutability, repr)
+and the validation errors of records, constructors and searches."""
 
 from __future__ import annotations
 
@@ -11,15 +11,15 @@ import pytest
 import diffcover
 from diffcover.construct import (
     BadParams,
-    FourMFamilyParams,
-    OddFamilyParams,
-    SixMuFamilyParams,
     SpectrumEntry,
+    construct_4m_general,
+    construct_6mu,
     construct_by_method,
+    construct_odd,
 )
 from diffcover.core import Form, Kind, ResidueArray
 from diffcover.latin import LatinSquare, check_row_complete
-from diffcover.search import SearchConfig
+from diffcover.search import search_hdm, search_third_column
 from diffcover.verify import Check, VerificationReport, Witness, verify_dca
 
 
@@ -60,11 +60,6 @@ RECORDS = [
     (Check, {"name": "coverage", "passed": False, "witness": Witness(column=1)}),
     (VerificationReport, {"checks": (Check("coverage", True),), "meta": {"rows": 7}}),
     (LatinSquare, {"order": 3, "offsets": (0, 2, 1)}),
-    (SearchConfig, {"order": 14, "col0": None, "col1": None, "node_budget": 50,
-                    "result_limit": 2, "status_interval": 0}),
-    (OddFamilyParams, {"m": 13, "f": 16}),
-    (FourMFamilyParams, {"m": 2, "f": 2}),
-    (SixMuFamilyParams, {"mu": 1}),
     (SpectrumEntry, {"order": 6, "constructible_by": ("table",), "status": "internal",
                      "source": "table"}),
 ]
@@ -93,12 +88,10 @@ def test_record_behaviour(cls, fields):
 def test_record_equality():
     assert LatinSquare(3, (0, 2, 1)) == LatinSquare(order=3, offsets=(0, 2, 1))
     assert LatinSquare(3, (0, 2, 1)) != LatinSquare(3, (1, 0, 2))
-    assert SearchConfig(14) != SearchConfig(14, node_budget=5)
     assert Witness(pair=(1, 0)) != Witness(pair=(2, 0))
 
 
 def test_record_defaults():
-    assert SearchConfig(14) == SearchConfig(14, None, None, 10**9, None, 0)
     assert Witness() == Witness(None, None, None, None, None)
     assert Check("x", True).witness is None
     assert VerificationReport(()).meta == {}
@@ -124,12 +117,15 @@ def test_reports_do_not_share_meta():
         (lambda: ResidueArray(kind=Kind.DM, order=6, hole=2, form=Form.FULL, entries=((0,),)),
          ValueError, "DM arrays carry no hole"),
         (lambda: LatinSquare(3, (0, 0, 1)), ValueError, "offsets are not a permutation of 0..2"),
-        (lambda: SearchConfig(order=14, node_budget=0), ValueError, "node budget must be positive, got 0"),
-        (lambda: SearchConfig(14, result_limit=0), ValueError, "result limit must be positive, got 0"),
-        (lambda: OddFamilyParams(13, 13), BadParams, "gcd(f, 2m) = gcd(13, 26) = 13, expected 2"),
-        (lambda: OddFamilyParams(m=13, f=14), BadParams, "f^2+f+1 = 211 is not 13 mod 26"),
-        (lambda: FourMFamilyParams(6, 10), BadParams, "gcd(f-1, 4m) = gcd(9, 24) = 3, expected 1"),
-        (lambda: SixMuFamilyParams(mu=2), BadParams, "mu must be an odd positive integer, got 2"),
+        (lambda: search_third_column(14, node_budget=0), ValueError, "node budget must be positive, got 0"),
+        (lambda: search_third_column(14, result_limit=0), ValueError, "result limit must be positive, got 0"),
+        (lambda: search_third_column(14, status_interval=-1), ValueError,
+         "status interval must be non-negative, got -1"),
+        (lambda: search_hdm(10, 2, status_interval=-3), ValueError, "status interval must be non-negative, got -3"),
+        (lambda: construct_odd(13, 13), BadParams, "gcd(f, 2m) = gcd(13, 26) = 13, expected 2"),
+        (lambda: construct_odd(m=13, f=14), BadParams, "f^2+f+1 = 211 is not 13 mod 26"),
+        (lambda: construct_4m_general(6, 10), BadParams, "gcd(f-1, 4m) = gcd(9, 24) = 3, expected 1"),
+        (lambda: construct_6mu(mu=2), BadParams, "mu must be an odd positive integer, got 2"),
     ],
 )
 def test_record_validation(make, error, message):
@@ -142,13 +138,8 @@ def test_record_validation(make, error, message):
 def test_replace_and_make_validate():
     # A record changed or rebuilt through the NamedTuple helpers is checked
     # like a new one.
-    assert SearchConfig(14)._replace(node_budget=5).node_budget == 5
-    with pytest.raises(ValueError, match="node budget must be positive, got 0"):
-        SearchConfig(14)._replace(node_budget=0)
     with pytest.raises(ValueError, match="offsets are not a permutation"):
         LatinSquare._make((3, (0, 0, 1)))
-    with pytest.raises(BadParams, match="mu must be an odd positive integer, got 4"):
-        SixMuFamilyParams(1)._replace(mu=4)
     arr = ResidueArray(**RECORDS[0][1])
     with pytest.raises(ValueError, match="entry 6 outside"):
         arr._replace(entries=((6, 0, 0),) * 6)

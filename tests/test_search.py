@@ -12,7 +12,6 @@ from diffcover.search import (
     BudgetExhausted,
     InfeasibleFixedColumns,
     NoSolution,
-    SearchConfig,
     search_hdm,
     search_third_column,
 )
@@ -31,69 +30,69 @@ def assemble(order: int, col2: tuple[int, ...]) -> ResidueArray:
 def test_order_six_default_columns_match_golden():
     # The default fixed columns at order 6 are exactly the golden array's.
     assert odd_even_column(6) == B_REDUCED_COLUMNS[1]
-    solutions = search_third_column(SearchConfig(6))
+    solutions = search_third_column(6)
     assert B_REDUCED_COLUMNS[2] in solutions
 
 
 def test_search_equals_enumeration_at_order_six():
-    assert search_third_column(SearchConfig(6)) == enumerate_third_columns(6)
+    assert search_third_column(6) == enumerate_third_columns(6)
 
 
 @pytest.mark.parametrize("order", [8, 10, 12])
 def test_search_equals_enumeration(order):
     # Pruning soundness: the capacity-pruned search agrees with the
     # unpruned filter over all permutations.
-    pruned = search_third_column(SearchConfig(order))
+    pruned = search_third_column(order)
     unpruned = enumerate_third_columns(order)
     assert pruned == unpruned
     assert pruned  # solutions exist at these orders
 
 
 def test_solutions_verify_strict():
-    for col2 in search_third_column(SearchConfig(8)):
+    for col2 in search_third_column(8):
         assert verify_dca(assemble(8, col2), strict=True).passed
 
 
 def test_lexicographic_and_deterministic():
-    first = search_third_column(SearchConfig(8))
-    second = search_third_column(SearchConfig(8))
+    first = search_third_column(8)
+    second = search_third_column(8)
     assert first == second == sorted(first)
 
 
 def test_budget_exhausted():
     with pytest.raises(BudgetExhausted):
-        search_third_column(SearchConfig(6, node_budget=1))
+        search_third_column(6, node_budget=1)
 
 
 def test_partial_results_returned_when_budget_hits_late():
     # Enough budget for the first solutions but not the whole tree.
-    full = search_third_column(SearchConfig(8))
-    clipped = search_third_column(SearchConfig(8, node_budget=2000))
+    full = search_third_column(8)
+    clipped = search_third_column(8, node_budget=2000)
     assert clipped == full[: len(clipped)]
     assert clipped
 
 
 def test_result_limit():
-    full = search_third_column(SearchConfig(8))
-    assert search_third_column(SearchConfig(8, result_limit=1)) == full[:1]
+    full = search_third_column(8)
+    assert search_third_column(8, result_limit=1) == full[:1]
 
 
 def test_infeasible_fixed_columns():
     ident = tuple(range(6))
     with pytest.raises(InfeasibleFixedColumns):
-        search_third_column(SearchConfig(6, col0=ident, col1=ident))
+        search_third_column(6, col0=ident, col1=ident)
 
 
 def test_fixed_column_validation():
     with pytest.raises(ValueError):
-        search_third_column(SearchConfig(6, col0=(0, 1, 2, 3, 4, 4)))
+        search_third_column(6, col0=(0, 1, 2, 3, 4, 4))
     with pytest.raises(ValueError):
-        search_third_column(SearchConfig(7))
+        search_third_column(7)
     for order in (2, 4):
         with pytest.raises(ValueError, match=f"order must be even and at least 6, got {order}"):
-            search_third_column(SearchConfig(order))
+            search_third_column(order)
     with pytest.raises(ValueError):
-        SearchConfig(6, node_budget=0)
+        search_third_column(6, node_budget=0)
 
 
 def test_enumerate_order_too_large():
@@ -103,7 +102,7 @@ def test_enumerate_order_too_large():
 
 def test_status_stream():
     events = []
-    search_third_column(SearchConfig(6, status_interval=5), status=events.append)
+    search_third_column(6, status_interval=5, status=events.append)
     assert events
     assert all(set(e) == {"nodes", "depth", "solutions"} for e in events)
     assert events[-1]["solutions"] == 1
@@ -129,7 +128,7 @@ def test_search_hdm_no_solution():
 
 def test_search_hdm_budget():
     with pytest.raises(BudgetExhausted):
-        search_hdm(14, 2, SearchConfig(14, node_budget=3))
+        search_hdm(14, 2, node_budget=3)
 
 
 def test_search_hdm_bad_hole():
@@ -140,7 +139,7 @@ def test_search_hdm_bad_hole():
 
 
 def test_order_fourteen_pipeline_ingredient():
-    cols = search_third_column(SearchConfig(14, result_limit=1))
+    cols = search_third_column(14, result_limit=1)
     assert len(cols) == 1
     assert verify_dca(assemble(14, cols[0]), strict=True).passed
 
@@ -161,15 +160,15 @@ def fixed_pairs(draw):
 @given(fixed_pairs())
 def test_search_equals_enumeration_for_fixed_columns(pair):
     order, col0, col1 = pair
-    found = search_third_column(SearchConfig(order, col0=col0, col1=col1))
+    found = search_third_column(order, col0=col0, col1=col1)
     assert found == enumerate_third_columns(order, col0, col1)
 
 
 @given(st.sampled_from([6, 8, 10, 12]), st.integers(1, 40_000))
 def test_budget_clipped_search_is_a_prefix(order, budget):
-    full = search_third_column(SearchConfig(order))
+    full = search_third_column(order)
     try:
-        clipped = search_third_column(SearchConfig(order, node_budget=budget))
+        clipped = search_third_column(order, node_budget=budget)
     except BudgetExhausted:
         return
     assert clipped == full[: len(clipped)]
@@ -194,7 +193,7 @@ HDM_PINS = {
 def test_third_column_pinned(order):
     nodes, first = THIRD_PINS[order]
     events = []
-    found = search_third_column(SearchConfig(order, result_limit=1), status=events.append)
+    found = search_third_column(order, result_limit=1, status=events.append)
     assert found == [first]
     assert events == [{"nodes": nodes, "depth": order, "solutions": 1}]
 
@@ -203,20 +202,20 @@ def test_third_column_pinned(order):
 def test_hdm_pinned(n, h):
     nodes, rows = HDM_PINS[n, h]
     events = []
-    arr = search_hdm(n, h, SearchConfig(n), status=events.append)
+    arr = search_hdm(n, h, status=events.append)
     assert arr.entries == tuple(row + (0,) for row in rows)
     assert events == [{"nodes": nodes, "depth": n - h, "solutions": 1}]
 
 
 def test_status_events_pinned():
     events = []
-    search_third_column(SearchConfig(14, result_limit=1, status_interval=1000), status=events.append)
+    search_third_column(14, result_limit=1, status_interval=1000, status=events.append)
     depths = [7, 5, 7, 8, 9, 4, 6, 6, 8, 8, 7, 8, 6, 8, 5]
     assert events == [
         {"nodes": 1000 * (j + 1), "depth": d, "solutions": 0} for j, d in enumerate(depths)
     ] + [{"nodes": 15_994, "depth": 14, "solutions": 1}]
     events = []
-    search_hdm(14, 2, SearchConfig(14, status_interval=1000), status=events.append)
+    search_hdm(14, 2, status_interval=1000, status=events.append)
     assert events == [
         {"nodes": 1000, "depth": 7, "solutions": 0},
         {"nodes": 1231, "depth": 12, "solutions": 1},
@@ -228,7 +227,7 @@ def test_hdm_status_events_every_interval(n, h, every):
     # Both kinds of HDM node, a b value and a (b, c) pair, can land on a
     # multiple of the interval; each multiple reports once.
     events = []
-    search_hdm(n, h, SearchConfig(n, status_interval=every), status=events.append)
+    search_hdm(n, h, status_interval=every, status=events.append)
     total = events[-1]["nodes"]
     assert [e["nodes"] for e in events[:-1]] == list(range(every, total + 1, every))
     assert all(e["solutions"] == 0 for e in events[:-1])

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from diffcover.construct import construct_by_method, dm_prime
 from diffcover.core import DesignError, Form, Kind, ResidueArray, to_full
-from diffcover.search import SearchConfig, search_hdm, search_third_column
+from diffcover.search import search_hdm, search_third_column
 from diffcover.tables import odd_even_column
 from diffcover.verify import verify_dca, verify_dm, verify_hdm
 
@@ -20,7 +20,7 @@ ORACLES = {Kind.DCA: verify_oracle.verify_dca, Kind.HDM: verify_oracle.verify_hd
 
 
 def _searched_dca(n: int) -> ResidueArray:
-    (col2,) = search_third_column(SearchConfig(n, result_limit=1))
+    (col2,) = search_third_column(n, result_limit=1)
     rows = zip(range(n), odd_even_column(n), col2)
     return ResidueArray.from_rows(Kind.DCA, n, rows, form=Form.REDUCED)
 
