@@ -161,6 +161,8 @@ def cmd_search(args: argparse.Namespace) -> int:
     _bind("search")
     status = _status_stream(sys.stderr)
     if args.hdm is not None:
+        if args.limit is not None:
+            raise ValueError("--limit applies to --order searches only")
         try:
             n, h = (int(tok) for tok in args.hdm.split(","))
         except ValueError:
@@ -170,12 +172,10 @@ def cmd_search(args: argparse.Namespace) -> int:
         )
         _emit_array(arr, verify_hdm(arr), args.format)
         return EXIT_OK
-    if args.order is None:
-        raise ValueError("one of --order or --hdm is required")
     columns = search_third_column(
         args.order,
         node_budget=args.budget,
-        result_limit=args.limit,
+        result_limit=1 if args.limit is None else args.limit,
         status_interval=args.status_interval,
         status=status,
     )
@@ -276,9 +276,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("search", help="search third columns or small HDMs")
-    p.add_argument("--order", type=int)
-    p.add_argument("--hdm", metavar="N,H")
-    p.add_argument("--limit", type=int, default=1)
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--order", type=int)
+    mode.add_argument("--hdm", metavar="N,H")
+    p.add_argument("--limit", type=int, help="third columns to find with --order (default 1)")
     p.add_argument("--budget", type=int, default=10**9)
     p.add_argument("--status-interval", type=int, default=1_000_000)
     p.add_argument("--format", choices=["text", "json"], default="text")

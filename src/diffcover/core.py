@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from enum import Enum
+from itertools import chain, islice, repeat
 from operator import sub
 from typing import Callable, Iterable, NamedTuple
 
@@ -195,7 +196,7 @@ def write_array(a: ResidueArray, fmt: str = "text") -> str:
         }
         if lam is not None:
             obj["lambda"] = lam
-        obj["entries"] = [list(row) for row in a.entries]
+        obj["entries"] = a.entries  # tuples serialize as JSON arrays
         return json.dumps(obj) + "\n"
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}")
@@ -213,10 +214,14 @@ def _json_int(v: object) -> int:
     return v
 
 
-def _build(fields: dict, rows: Iterable[Iterable], number: Callable[[object], int] = int) -> ResidueArray:
+def _build(
+    fields: dict, rows: Iterable[Iterable], number: Callable[[object], int] = int, *, ready: bool = False
+) -> ResidueArray:
     """The one validator behind both file formats: header ``fields`` and
     entry ``rows`` in, a checked array or ParseError out.  ``number``
-    converts each header count and entry (``int`` for text tokens)."""
+    converts each header count and entry (``int`` for text tokens).  With
+    ``ready``, ``rows`` is already a tuple of k-tuples of ints and goes in
+    as it is; the array's own check still range-checks every entry."""
     missing = [k for k in ("kind", "k", "n", "h", "form") if k not in fields]
     if missing:
         raise ParseError(f"header missing {', '.join(missing)}")
@@ -224,12 +229,15 @@ def _build(fields: dict, rows: Iterable[Iterable], number: Callable[[object], in
         kind, form = Kind(fields["kind"]), Form(fields["form"])
         k, n, h = number(fields["k"]), number(fields["n"]), number(fields["h"])
         lam = number(fields["lambda"]) if "lambda" in fields else None
-        entries = []
-        for row in rows:
-            row = tuple(map(number, row))
-            if len(row) != k:
-                raise ParseError(f"row {len(entries)} has {len(row)} entries, expected {k}")
-            entries.append(row)
+        if ready:
+            entries = rows
+        else:
+            entries = []
+            for row in rows:
+                row = tuple(map(number, row))
+                if len(row) != k:
+                    raise ParseError(f"row {len(entries)} has {len(row)} entries, expected {k}")
+                entries.append(row)
         arr = ResidueArray(kind, n, h, form, tuple(entries))
     except (ValueError, TypeError) as exc:
         raise ParseError(str(exc)) from exc
@@ -251,12 +259,42 @@ def _build(fields: dict, rows: Iterable[Iterable], number: Callable[[object], in
     return arr
 
 
+def _json_entries(rows: object, k: object) -> tuple[tuple[int, ...], ...] | None:
+    """``rows`` as entries when it is a list of lists of exactly ``k``
+    JSON integers, else None.  ``type(v) is int`` rejects ``true``."""
+    if (
+        type(k) is int
+        and type(rows) is list
+        and set(map(type, rows)) == {list}
+        and set(map(len, rows)) == {k}
+        and set(map(type, chain.from_iterable(rows))) == {int}
+    ):
+        return tuple(map(tuple, rows))
+    return None
+
+
+def _text_entries(lines: Iterable[str], k: str) -> tuple[tuple[int, ...], ...] | None:
+    """The entries of body ``lines`` converted in one streaming pass, or
+    None unless the header's ``k`` is a positive decimal and every line
+    holds exactly k integer tokens (a blank line holds none)."""
+    if not k.isdecimal() or not int(k):
+        return None
+    try:
+        rows = tuple(map(tuple, map(map, repeat(int), map(str.split, lines))))
+    except ValueError:
+        return None
+    return rows if set(map(len, rows)) == {int(k)} else None
+
+
 def read_array(text: str) -> ResidueArray:
     """Parse an array from its text or JSON serialization.
 
     Text files may carry ``#`` comments; the first content line is the
     header.  JSON counts and entries must be JSON integers.  Row counts
-    must match the declared kind and form.
+    must match the declared kind and form.  A canonical file, as
+    :func:`write_array` gives, is converted in one pass; anything else
+    (comments, blank or irregular lines, non-integer entries) is read
+    line by line, which gives every error its message.
     """
     if text.lstrip().startswith("{"):
         try:
@@ -267,8 +305,12 @@ def read_array(text: str) -> ResidueArray:
             raise ParseError("JSON array file must be an object")
         if "entries" not in obj:
             raise ParseError("JSON array file has no entries")
+        entries = _json_entries(obj["entries"], obj.get("k"))
+        if entries is not None:
+            return _build(obj, entries, _json_int, ready=True)
         return _build(obj, obj["entries"], _json_int)
-    lines = (c for raw in text.splitlines() if (c := raw.split("#", 1)[0].strip()))
+    raw = text.splitlines()
+    lines = (c for line in raw if (c := line.split("#", 1)[0].strip()))
     header = next(lines, None)
     if header is None:
         raise ParseError("empty file")
@@ -278,4 +320,9 @@ def read_array(text: str) -> ResidueArray:
         if not sep or key not in _HEADER_KEYS or key in fields:
             raise ParseError(f"bad header token {token!r}")
         fields[key] = value
-    return _build(fields, (line.split() for line in lines))
+    if "#" not in text and header == raw[0].strip():
+        # The header is the first line, so the body is every line after it.
+        entries = _text_entries(islice(raw, 1, None), fields.get("k", ""))
+        if entries is not None:
+            return _build(fields, entries, ready=True)
+    return _build(fields, map(str.split, lines))

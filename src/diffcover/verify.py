@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from typing import Iterable, NamedTuple
 
-from .core import DesignError, Form, Kind, ResidueArray, diff_counts, to_full
+from .core import DesignError, Form, Kind, ResidueArray, diff_counts
 
 
 class BadShape(DesignError):
@@ -109,11 +109,9 @@ class VerificationReport(_VerificationReport):
         return json.dumps(self.to_obj())
 
 
-def _pair_counts(a: ResidueArray) -> dict[tuple[int, int], list[int]]:
-    """The difference counts of every column pair over all rows, keyed
-    (j, jp) in witness order: (1,0), (2,0), (2,1), ..."""
-    cols = list(zip(*a.entries))
-    n = a.order
+def _pair_counts(cols: list[tuple[int, ...]], n: int) -> dict[tuple[int, int], list[int]]:
+    """The difference counts mod ``n`` of every pair of columns ``cols``,
+    keyed (j, jp) in witness order: (1,0), (2,0), (2,1), ..."""
     return {(j, jp): diff_counts(cols[j], cols[jp], n) for j in range(1, len(cols)) for jp in range(j)}
 
 
@@ -146,7 +144,7 @@ def verify_dm(a: ResidueArray) -> VerificationReport:
     if a.rows % n:
         raise BadShape(f"DM rows {a.rows} not a multiple of order {n}")
     lam = a.rows // n
-    check = _balance_check("difference-balance", _pair_counts(a), [lam] * n)
+    check = _balance_check("difference-balance", _pair_counts(list(zip(*a.entries)), n), [lam] * n)
     return VerificationReport((check,), meta={"lambda": lam})
 
 
@@ -167,17 +165,18 @@ def verify_hdm(a: ResidueArray) -> VerificationReport:
     expected = [lam] * n
     for d in hole:
         expected[d] = 0
-    pairs = _pair_counts(a)
+    cols = list(zip(*a.entries))
+    pairs = _pair_counts(cols, n)
     checks = [
         _balance_check("hole-avoidance", pairs, expected, hole),
         _balance_check("difference-balance", pairs, expected, [d for d in range(n) if d % u]),
     ]
-    if all(row[-1] == 0 for row in a.entries):
+    if not any(cols[-1]):
         # With an all-zero last column, hole residues may not occur as
         # entries of the remaining columns (so no row carries two zeros).
         confined = Check("hole-entries-confined", True)
-        for j in range(a.columns - 1):
-            hits = [v for v in a.column(j) if v in hole]
+        for j, col in enumerate(cols[:-1]):
+            hits = [v for v in col if v in hole]
             if hits:
                 confined = Check(
                     "hole-entries-confined",
@@ -195,13 +194,19 @@ def verify_dca(a: ResidueArray, strict: bool = False) -> VerificationReport:
     pair off the last column covers the nonzero residues exactly once
     apiece with n/2 doubled (the forced repeated difference).
 
-    Reduced input is completed to full form internally.
+    Reduced input is checked as its full form without copying the array:
+    each column gains the stripped row's zero, and the stripped all-zero
+    column is added.
     """
     if a.kind is not Kind.DCA:
         raise ValueError(f"verify_dca expects a DCA array, got {a.kind.value}")
-    full = to_full(a) if a.form is Form.REDUCED else a
-    n = full.order
-    pairs = _pair_counts(full)
+    n = a.order
+    cols = list(zip(*a.entries))
+    if a.form is Form.REDUCED:
+        cols = [col + (0,) for col in cols]
+        cols.append((0,) * len(cols[0]))
+    rows = len(cols[0])
+    pairs = _pair_counts(cols, n)
     coverage = Check("coverage", True)
     for pair, counts in pairs.items():
         if 0 in counts:
@@ -209,15 +214,15 @@ def verify_dca(a: ResidueArray, strict: bool = False) -> VerificationReport:
             break
     checks = [coverage]
     min_coverage = min(map(min, pairs.values())) if pairs else None
-    meta: dict[str, object] = {"rows": full.rows, "min_coverage": min_coverage}
+    meta: dict[str, object] = {"rows": rows, "min_coverage": min_coverage}
     if strict:
         if n % 2:
             raise OddOrderStrict(f"strict checks need even order, got {n}")
-        if full.rows != n + 1:
-            raise BadShape(f"full DCA over Z_{n} needs {n + 1} rows, got {full.rows}")
+        if rows != n + 1:
+            raise BadShape(f"full DCA over Z_{n} needs {n + 1} rows, got {rows}")
         zero_twice = Check("zero-twice-per-column", True)
-        for j in range(full.columns):
-            zeros = full.column(j).count(0)
+        for j, col in enumerate(cols):
+            zeros = col.count(0)
             if zeros < 2:
                 zero_twice = Check(
                     "zero-twice-per-column",
@@ -228,10 +233,10 @@ def verify_dca(a: ResidueArray, strict: bool = False) -> VerificationReport:
         checks.append(zero_twice)
         # The profile covers the first n rows of the pairs off the last
         # column: each pair's counts less the last row's difference.
-        last = full.entries[-1]
+        last = [col[-1] for col in cols]
         off_last = {}
         for (j, jp), counts in pairs.items():
-            if j < full.columns - 1:
+            if j < len(cols) - 1:
                 counts = counts.copy()
                 counts[(last[j] - last[jp]) % n] -= 1
                 off_last[j, jp] = counts

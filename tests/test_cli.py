@@ -137,9 +137,19 @@ def test_search_usage(capsys):
         ["--order", "6", "--limit", "0"],
         ["--order", "10", "--status-interval", "-1"],
         ["--hdm", "10,2", "--status-interval", "-1"],
+        # Exactly one mode, and --limit only with --order.
+        ["--limit", "1"],
+        ["--order", "9", "--hdm", "10,2"],
+        ["--hdm", "10,2", "--order", "6"],
+        ["--hdm", "10,2", "--limit", "1"],
+        ["--hdm", "10,2", "--limit", "0"],
+        ["--hdm", "10,2", "--limit", "-5"],
     ):
         assert main(["search", *argv]) == 2, argv
-        assert "error:" in capsys.readouterr().err, argv
+        out, err = capsys.readouterr()
+        assert out == "" and "error:" in err, argv
+    assert main(["search", "--hdm", "10,2", "--limit", "0"]) == 2
+    assert capsys.readouterr() == ("", "error: --limit applies to --order searches only\n")
     # With two bad values the budget is the one reported.
     for argv in (["--order", "4", "--budget", "0"], ["--hdm", "10,0", "--budget", "0"]):
         assert main(["search", *argv]) == 2, argv
