@@ -10,13 +10,18 @@ from importlib import import_module as _import_module
 
 _MODULES = {
     "core": (
+        "BadHole",
+        "BadShape",
         "BudgetExhausted",
+        "CertificationFailed",
         "DesignError",
         "Form",
         "InfeasibleFixedColumns",
         "Kind",
+        "NoMethod",
         "NoSolution",
         "NotNormalized",
+        "OddOrderStrict",
         "ParseError",
         "ResidueArray",
         "diff_counts",
@@ -26,11 +31,7 @@ _MODULES = {
         "write_array",
     ),
     "verify": (
-        "BadHole",
-        "BadShape",
-        "CertificationFailed",
         "Check",
-        "OddOrderStrict",
         "VerificationReport",
         "Witness",
         "verify_dca",
@@ -42,7 +43,6 @@ _MODULES = {
         "BadParams",
         "IngredientInvalid",
         "MismatchedK",
-        "NoMethod",
         "NotPrime",
         "SpectrumEntry",
         "TooManyColumns",

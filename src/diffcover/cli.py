@@ -3,61 +3,62 @@
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 3 budget exhausted or no method/solution.  Arrays are always re-verified
 before emission, and stdout is byte-identical across identical runs.
+Each command imports only the modules it runs; ``json`` is imported
+only where JSON is read or written.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from importlib import import_module
 from itertools import combinations
 from typing import TYPE_CHECKING, TextIO
 
 from .core import (
+    BadHole,
+    BadShape,
     BudgetExhausted,
+    CertificationFailed,
     Form,
     InfeasibleFixedColumns,
     Kind,
+    NoMethod,
     NoSolution,
     NotNormalized,
+    OddOrderStrict,
     ParseError,
     ResidueArray,
     read_array,
     to_reduced,
     write_array,
 )
-from .construct import METHODS, NoMethod, construct_by_method, dca_from_third_column, spectrum_report
-from .verify import (
-    BadHole,
-    BadShape,
-    CertificationFailed,
-    OddOrderStrict,
-    VerificationReport,
-    verify_dca,
-    verify_dm,
-    verify_hdm,
-)
 
 if TYPE_CHECKING:
+    from .construct import construct_by_method, dca_from_third_column, spectrum_report
     from .latin import check_row_complete, classify_pair, latin_from_dca, williams_order, write_latin
     from .search import search_hdm, search_third_column
+    from .verify import VerificationReport, verify_dca, verify_dm, verify_hdm
 
-# The names that only one command uses, by the module that defines them.
-# That command binds them here when it starts, so no other command
-# imports the module.  Reading one of them from outside binds them too
-# (``__getattr__``), so a caller may read or replace them beforehand; a
-# name bound already, such as such a replacement, is kept.
+# The layer functions the commands call, by the module that defines them.
+# Each command binds the modules it runs when it starts, so no command
+# imports a module it does not use.  Reading one of the names from
+# outside binds its module too (``__getattr__``), so a caller may read or
+# replace them beforehand; a name bound already, such as such a
+# replacement, is kept.
 _DEFERRED = {
+    "construct": ("construct_by_method", "dca_from_third_column", "spectrum_report"),
+    "verify": ("verify_dca", "verify_dm", "verify_hdm"),
     "latin": ("check_row_complete", "classify_pair", "latin_from_dca", "williams_order", "write_latin"),
     "search": ("search_hdm", "search_third_column"),
 }
 
 
-def _bind(module: str) -> None:
-    mod = import_module(f"{__package__}.{module}")
-    for name in _DEFERRED[module]:
-        globals().setdefault(name, getattr(mod, name))
+def _bind(*modules: str) -> None:
+    for module in modules:
+        mod = import_module(f"{__package__}.{module}")
+        for name in _DEFERRED[module]:
+            globals().setdefault(name, getattr(mod, name))
 
 
 def __getattr__(name: str) -> object:
@@ -104,6 +105,8 @@ def _report_lines(report: VerificationReport) -> str:
     for check in report.checks:
         line = f"{check.name}: {'pass' if check.passed else 'fail'}"
         if check.witness is not None:
+            import json
+
             line += f" {json.dumps(check.witness.to_obj())}"
         lines.append(line)
     lines.append(f"verdict: {report.verdict}")
@@ -131,6 +134,7 @@ def _emit_array(arr: ResidueArray, report: VerificationReport, fmt: str, out: st
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
+    _bind("construct", "verify")
     arr, tag = construct_by_method(args.order, args.method)
     report = verify_dca(arr, strict=True)
     _emit_array(arr, report, args.format, args.out)
@@ -141,6 +145,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    _bind("verify")
     arr = read_array(_read_input(args.file))
     report = _verify_for_kind(arr, args.strict)
     if args.format == "json":
@@ -151,6 +156,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _status_stream(stream: TextIO):
+    import json
+
     def emit(payload: dict[str, int]) -> None:
         stream.write(json.dumps(payload) + "\n")
 
@@ -158,7 +165,7 @@ def _status_stream(stream: TextIO):
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    _bind("search")
+    _bind("search", "verify")
     status = _status_stream(sys.stderr)
     if args.hdm is not None:
         if args.limit is not None:
@@ -181,6 +188,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     )
     if not columns:
         raise NoSolution("search space exhausted without a solution")
+    _bind("construct")
     for i, col2 in enumerate(columns):
         arr = dca_from_third_column(col2)
         if i:
@@ -190,7 +198,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_latin(args: argparse.Namespace) -> int:
-    _bind("latin")
+    _bind("latin", "verify")
     arr = read_array(_read_input(args.file))
     if arr.kind is not Kind.DCA:
         raise ValueError(f"latin derivation needs a DCA, got {arr.kind.value}")
@@ -212,6 +220,8 @@ def cmd_latin(args: argparse.Namespace) -> int:
     if ordering is not None:
         row_complete = [check_row_complete(sq, ordering).passed for sq in squares]
     if args.format == "json":
+        import json
+
         obj: dict[str, object] = {
             "order": n,
             "square_indices": indices,
@@ -240,6 +250,7 @@ def cmd_latin(args: argparse.Namespace) -> int:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
+    _bind("construct")
     entries = spectrum_report(args.min, args.max)
     write = sys.stdout.write
     if args.format == "csv":
@@ -247,6 +258,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         for e in entries:
             write(f"{e.order},{';'.join(e.constructible_by)},{e.status},{e.source}\n")
         return EXIT_OK
+    import json
+
     # Element by element, the same bytes as json.dumps of the whole list.
     write("[")
     for i, e in enumerate(entries):
@@ -264,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="construct a strict DCA of a given order")
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--method", choices=["auto"] + [m.name for m in METHODS], default="auto")
+    # construct_by_method checks the name against its registry.
+    p.add_argument("--method", default="auto", help="'auto' or a construction method name")
     p.add_argument("--out", default="-")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_construct)

@@ -15,8 +15,7 @@ from math import gcd, isqrt
 from typing import Callable, Iterator, NamedTuple
 
 from . import tables
-from .core import DesignError, Form, Kind, ResidueArray, to_full
-from .verify import CertificationFailed, OddOrderStrict, verify_dca, verify_dm, verify_hdm
+from .core import CertificationFailed, DesignError, Form, Kind, NoMethod, OddOrderStrict, ResidueArray, to_full
 
 
 class BadParams(DesignError):
@@ -41,10 +40,6 @@ class IngredientInvalid(DesignError):
 
 class MismatchedK(DesignError):
     """Combinator inputs have different column counts."""
-
-
-class NoMethod(DesignError):
-    """No implemented method covers the requested order."""
 
 
 def _reduced_dca(order: int, rows: list[tuple[int, int, int]]) -> ResidueArray:
@@ -249,6 +244,10 @@ def insert_hole(hdm: ResidueArray, dca_hole: ResidueArray) -> ResidueArray:
     """Fill the hole of an HDM(k, n; h) with a strict DCA(k, h+1; h) whose
     entries are embedded into the hole subgroup by multiplying by u = n/h,
     yielding a full strict DCA(k, n+1; n)."""
+    # The combinators alone verify here; importing verify in them keeps it
+    # out of `spectrum`, which only reads the registry.
+    from .verify import verify_dca, verify_hdm
+
     _require(hdm.kind is Kind.HDM, "first ingredient must be an HDM")
     _require(dca_hole.kind is Kind.DCA, "second ingredient must be a DCA")
     full_hole = to_full(dca_hole) if dca_hole.form is Form.REDUCED else dca_hole
@@ -273,6 +272,8 @@ def insert_hole(hdm: ResidueArray, dca_hole: ResidueArray) -> ResidueArray:
 def hdm_product(hdm: ResidueArray, dm: ResidueArray) -> ResidueArray:
     """Product of an HDM(k, n; h) with a DM(n', k; 1): entries
     a(i,j) + n*b(i',j) over Z_{n n'}, giving an HDM(k, n n'; h n')."""
+    from .verify import verify_dm, verify_hdm
+
     _require(hdm.kind is Kind.HDM, "first ingredient must be an HDM")
     _require(dm.kind is Kind.DM, "second ingredient must be a DM")
     if hdm.columns != dm.columns:
@@ -337,7 +338,8 @@ def construct_by_method(order: int, method: str = "auto") -> tuple[ResidueArray,
         raise ValueError(f"order must be even and at least 6, got {order}")
     candidates = METHODS if method == "auto" else [m for m in METHODS if m.name == method]
     if not candidates:
-        raise ValueError(f"unknown method {method!r}")
+        names = ", ".join(["auto", *(m.name for m in METHODS)])
+        raise ValueError(f"unknown method {method!r} (choose from {names})")
     for m in candidates:
         params = m.params_for(order)
         if params is not None:

@@ -11,7 +11,6 @@ residue occurs as a difference of two columns (:func:`diff_counts`).
 
 from __future__ import annotations
 
-import json
 from enum import Enum
 from itertools import chain, islice, repeat
 from operator import sub
@@ -40,6 +39,26 @@ class InfeasibleFixedColumns(DesignError):
 
 class NoSolution(DesignError):
     """The full search space was exhausted without a solution."""
+
+
+class NoMethod(DesignError):
+    """No implemented method covers the requested order."""
+
+
+class BadShape(DesignError):
+    """Row count incompatible with the declared kind and order."""
+
+
+class BadHole(DesignError):
+    """Hole size does not divide the group order."""
+
+
+class OddOrderStrict(DesignError):
+    """Strict DCA checks require even order (the forced repeat is n/2)."""
+
+
+class CertificationFailed(DesignError):
+    """An array about to be returned or emitted failed its verification."""
 
 
 class Record:
@@ -187,6 +206,9 @@ def write_array(a: ResidueArray, fmt: str = "text") -> str:
     """
     lam = a.rows // a.order if a.kind is Kind.DM and a.rows % a.order == 0 else None
     if fmt == "json":
+        # Imported only for JSON, so text-only commands never load it.
+        import json
+
         obj: dict[str, object] = {
             "kind": a.kind.value,
             "k": a.columns,
@@ -297,6 +319,8 @@ def read_array(text: str) -> ResidueArray:
     line by line, which gives every error its message.
     """
     if text.lstrip().startswith("{"):
+        import json
+
         try:
             obj = json.loads(text)
         except (ValueError, RecursionError) as exc:

@@ -31,9 +31,8 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .core import BudgetExhausted, InfeasibleFixedColumns, Kind, NoSolution, ResidueArray, diff_counts
+from .core import BadHole, BudgetExhausted, InfeasibleFixedColumns, Kind, NoSolution, ResidueArray, diff_counts
 from .tables import odd_even_column
-from .verify import BadHole
 
 StatusFn = Callable[[dict[str, int]], None]
 

@@ -11,26 +11,9 @@ smallest residue.
 
 from __future__ import annotations
 
-import json
 from typing import Iterable, NamedTuple
 
-from .core import DesignError, Form, Kind, ResidueArray, diff_counts
-
-
-class BadShape(DesignError):
-    """Row count incompatible with the declared kind and order."""
-
-
-class BadHole(DesignError):
-    """Hole size does not divide the group order."""
-
-
-class OddOrderStrict(DesignError):
-    """Strict DCA checks require even order (the forced repeat is n/2)."""
-
-
-class CertificationFailed(DesignError):
-    """An array about to be returned or emitted failed its verification."""
+from .core import BadHole, BadShape, Form, Kind, OddOrderStrict, ResidueArray, diff_counts
 
 
 class Witness(NamedTuple):
@@ -106,6 +89,8 @@ class VerificationReport(_VerificationReport):
         }
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self.to_obj())
 
 

@@ -21,13 +21,14 @@ from diffcover.construct import (
     construct_6mu,
     construct_from_table,
     construct_odd,
+    dca_from_third_column,
     dm_prime,
     hdm_product,
     insert_hole,
     params_odd,
     spectrum_report,
 )
-from diffcover.core import Form, Kind, ResidueArray, diff_counts, read_array, to_reduced
+from diffcover.core import Form, ResidueArray, diff_counts, read_array, to_reduced
 from diffcover.latin import (
     check_row_complete,
     latin_from_dca,
@@ -35,7 +36,7 @@ from diffcover.latin import (
     williams_order,
 )
 from diffcover.search import search_hdm, search_third_column
-from diffcover.tables import SEARCHED_THIRD_COLUMNS, odd_even_column
+from diffcover.tables import SEARCHED_THIRD_COLUMNS
 from diffcover.verify import verify_dca, verify_hdm
 
 from conftest import B_TEXT, mutate
@@ -74,15 +75,10 @@ def best_of(runs: int, fn):
     return result, best
 
 
-def assemble_reduced(order: int, col2: tuple[int, ...]) -> ResidueArray:
-    rows = zip(range(order), odd_even_column(order), col2)
-    return ResidueArray.from_rows(Kind.DCA, order, rows, form=Form.REDUCED)
-
-
 def searched_fourteen() -> ResidueArray:
     if "dca14" not in _cache:
         cols = search_third_column(14, result_limit=1)
-        _cache["dca14"] = assemble_reduced(14, cols[0])
+        _cache["dca14"] = dca_from_third_column(cols[0])
     return _cache["dca14"]
 
 
@@ -102,7 +98,7 @@ def pipeline_thirty() -> ResidueArray:
 def searched_twenty_four() -> ResidueArray:
     if "dca24" not in _cache:
         cols = search_third_column(24, result_limit=1, node_budget=10**8)
-        _cache["dca24"] = assemble_reduced(24, cols[0])
+        _cache["dca24"] = dca_from_third_column(cols[0])
     return _cache["dca24"]
 
 
@@ -205,7 +201,7 @@ def test_criterion_05_search_reproduction():
     assert verify_dca(found, strict=True).passed
     # The published order-24 column is itself a solution: the assembled
     # array passes the independent checker.
-    published = assemble_reduced(24, SEARCHED_THIRD_COLUMNS[24])
+    published = dca_from_third_column(SEARCHED_THIRD_COLUMNS[24])
     assert verify_dca(published, strict=True).passed
     # At order 6 the pruned search reproduces the exhaustive oracle.
     assert search_third_column(6) == enumerate_third_columns(6)

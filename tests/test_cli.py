@@ -13,7 +13,7 @@ import pytest
 
 import diffcover
 from diffcover.cli import main
-from diffcover.construct import construct_by_method, construct_odd, spectrum_report
+from diffcover.construct import METHODS, construct_by_method, construct_odd, spectrum_report
 from diffcover.core import Form, read_array, write_array
 from diffcover.latin import williams_order
 from diffcover.verify import verify_dca
@@ -62,8 +62,18 @@ def test_construct_no_method(capsys):
 
 def test_construct_usage_errors(capsys):
     assert main(["construct", "--order", "7"]) == 2
-    assert main(["construct", "--order", "26", "--method", "nope"]) == 2
     assert main(["construct"]) == 2
+
+
+def test_unknown_method_lists_the_registry(capsys):
+    # The registry, not argparse, validates --method.
+    assert main(["construct", "--order", "26", "--method", "nope"]) == 2
+    captured = capsys.readouterr()
+    names = ", ".join(["auto", *(m.name for m in METHODS)])
+    assert names == "auto, table, odd-f, four-m, six-mu"
+    assert captured.out == ""
+    assert captured.err == f"error: unknown method 'nope' (choose from {names})\n"
+    assert main(["construct", "--help"]) == 0
 
 
 def test_verify_golden(b_file, capsys):
@@ -373,37 +383,65 @@ def test_python_m_matches_main(capsys):
 def test_cli_import_loads_no_dataclasses():
     proc = _run_python("-c", "import sys, diffcover.cli; print(*sys.modules)")
     loaded = set(proc.stdout.split())
-    assert "diffcover.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect", "diffcover.latin", "diffcover.search"}
+    assert {name for name in loaded if name.startswith("diffcover")} == {
+        "diffcover",
+        "diffcover.core",
+        "diffcover.cli",
+    }
+    assert not loaded & {"dataclasses", "inspect", "json"}
+
+
+# The modules of the package, and json, that each command runs; a
+# command loads no other of them.
+CHECKED_MODULES = {
+    "dataclasses",
+    "inspect",
+    "json",
+    "diffcover.construct",
+    "diffcover.latin",
+    "diffcover.search",
+    "diffcover.tables",
+    "diffcover.verify",
+}
 
 
 @pytest.mark.parametrize(
-    "argv, deferred",
+    "argv, loads",
     [
-        (["spectrum", "--min", "6", "--max", "6"], []),
-        (["construct", "--order", "26"], []),
-        (["verify", "{b_file}", "--strict"], []),
-        (["latin", "{b_file}", "--classify", "--williams"], ["diffcover.latin"]),
-        (["search", "--order", "14"], ["diffcover.search"]),
-        (["search", "--hdm", "14,2"], ["diffcover.search"]),
+        (["spectrum", "--min", "6", "--max", "6"], "construct tables json"),
+        (["spectrum", "--min", "6", "--max", "6", "--format", "csv"], "construct tables"),
+        (["construct", "--order", "26"], "construct tables verify"),
+        (["construct", "--order", "26", "--format", "json"], "construct tables verify json"),
+        (["verify", "{b_file}", "--strict"], "verify"),
+        (["verify", "{b_json}", "--strict"], "verify json"),
+        (["verify", "{b_file}", "--format", "json"], "verify json"),
+        (["latin", "{b_file}", "--classify", "--williams"], "latin verify"),
+        (["latin", "{b_file}", "--format", "json"], "latin verify json"),
+        (["search", "--order", "14"], "search tables verify json construct"),
+        (["search", "--hdm", "14,2"], "search tables verify json"),
     ],
-    ids=["spectrum", "construct", "verify", "latin", "search", "search-hdm"],
+    ids=[
+        "spectrum", "spectrum-csv", "construct", "construct-json", "verify", "verify-json-file",
+        "verify-json-report", "latin", "latin-json", "search", "search-hdm",
+    ],
 )
-def test_commands_import_only_their_modules(argv, deferred, b_file):
+def test_commands_import_only_their_modules(argv, loads, b_file, tmp_path):
     # Which modules a command loads, read off sys.modules after it ran.
+    b_json = tmp_path / "b.json"
+    b_json.write_text(write_array(read_array(B_TEXT), fmt="json"))
     script = (
         "import sys\n"
         "from diffcover.cli import main\n"
         "code = main(sys.argv[1:])\n"
         "print(code, *sorted(sys.modules), file=sys.stderr)\n"
     )
-    argv = [arg.format(b_file=b_file) for arg in argv]
+    argv = [arg.format(b_file=b_file, b_json=b_json) for arg in argv]
     proc = _run_python("-c", script, *argv)
     code, *loaded = proc.stderr.splitlines()[-1].split()
     assert code == "0"
     assert proc.stdout
-    checked = {"dataclasses", "inspect", "diffcover.latin", "diffcover.search"}
-    assert sorted(checked.intersection(loaded)) == deferred
+    want = {name if name == "json" else f"diffcover.{name}" for name in loads.split()}
+    assert CHECKED_MODULES.intersection(loaded) == want
 
 
 def test_emit_array_check_survives_optimize():

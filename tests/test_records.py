@@ -43,13 +43,34 @@ def test_unknown_name_is_an_attribute_error():
         exec("from diffcover import no_such_name", {})
 
 
-def test_search_errors_live_in_core():
+def test_mapped_errors_live_in_core():
+    # Every domain error the CLI maps to an exit code is defined in core,
+    # so the exit-code table needs no other module; each module that
+    # raises one uses that same class.
+    import diffcover.cli as cli
+    import diffcover.construct as construct
     import diffcover.core as core
     import diffcover.search as search
+    import diffcover.verify as verify
 
-    for name in ("BudgetExhausted", "InfeasibleFixedColumns", "NoSolution"):
-        assert getattr(search, name) is getattr(core, name) is getattr(diffcover, name)
-        assert issubclass(getattr(core, name), core.DesignError)
+    raisers = {
+        "BadShape": [verify],
+        "BadHole": [verify, search],
+        "OddOrderStrict": [verify, construct],
+        "CertificationFailed": [construct],
+        "NoMethod": [construct],
+        "BudgetExhausted": [search],
+        "InfeasibleFixedColumns": [search],
+        "NoSolution": [search],
+    }
+    mapped = [cls for cls in cli.EXIT_CODES if issubclass(cls, core.DesignError)]
+    assert {cls.__name__ for cls in mapped} == {*raisers, "ParseError", "NotNormalized"}
+    for cls in mapped:
+        name = cls.__name__
+        assert cls.__module__ == "diffcover.core"
+        assert cls is getattr(core, name) is getattr(diffcover, name)
+        for module in raisers.get(name, []):
+            assert getattr(module, name) is cls
 
 
 # One record of each type, with every field given by keyword in field order.
