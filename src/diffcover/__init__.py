@@ -16,7 +16,6 @@ _MODULES = {
         "CertificationFailed",
         "DesignError",
         "Form",
-        "InfeasibleFixedColumns",
         "Kind",
         "NoMethod",
         "NoSolution",
@@ -67,7 +66,6 @@ _MODULES = {
         "check_row_complete",
         "classify_pair",
         "latin_from_dca",
-        "mnols_set_check",
         "williams_order",
         "write_latin",
     ),

@@ -21,7 +21,6 @@ from .core import (
     BudgetExhausted,
     CertificationFailed,
     Form,
-    InfeasibleFixedColumns,
     Kind,
     NoMethod,
     NoSolution,
@@ -85,7 +84,6 @@ EXIT_CODES: dict[type[Exception], int] = {
     NoMethod: EXIT_NO_RESULT,
     NoSolution: EXIT_NO_RESULT,
     BudgetExhausted: EXIT_NO_RESULT,
-    InfeasibleFixedColumns: EXIT_NO_RESULT,
     ParseError: EXIT_USAGE,
     BadHole: EXIT_USAGE,
     ValueError: EXIT_USAGE,

@@ -12,7 +12,7 @@ residue occurs as a difference of two columns (:func:`diff_counts`).
 from __future__ import annotations
 
 from enum import Enum
-from itertools import chain, islice, repeat
+from itertools import chain
 from operator import sub
 from typing import Callable, Iterable, NamedTuple
 
@@ -31,10 +31,6 @@ class NotNormalized(DesignError):
 
 class BudgetExhausted(DesignError):
     """Node budget ran out before any result was found."""
-
-
-class InfeasibleFixedColumns(DesignError):
-    """The fixed column pair violates the difference profile."""
 
 
 class NoSolution(DesignError):
@@ -204,27 +200,20 @@ def write_array(a: ResidueArray, fmt: str = "text") -> str:
     Output is canonical, so identical arrays serialize to identical bytes
     and read/write round trips are exact.
     """
-    lam = a.rows // a.order if a.kind is Kind.DM and a.rows % a.order == 0 else None
+    fields: dict[str, object] = {
+        "kind": a.kind.value, "k": a.columns, "n": a.order, "h": a.hole, "form": a.form.value
+    }
+    if a.kind is Kind.DM and a.rows % a.order == 0:
+        fields["lambda"] = a.rows // a.order
     if fmt == "json":
         # Imported only for JSON, so text-only commands never load it.
         import json
 
-        obj: dict[str, object] = {
-            "kind": a.kind.value,
-            "k": a.columns,
-            "n": a.order,
-            "h": a.hole,
-            "form": a.form.value,
-        }
-        if lam is not None:
-            obj["lambda"] = lam
-        obj["entries"] = a.entries  # tuples serialize as JSON arrays
-        return json.dumps(obj) + "\n"
+        # Tuples serialize as JSON arrays.
+        return json.dumps({**fields, "entries": a.entries}) + "\n"
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}")
-    header = f"kind={a.kind.value} k={a.columns} n={a.order} h={a.hole} form={a.form.value}"
-    if lam is not None:
-        header += f" lambda={lam}"
+    header = " ".join(f"{key}={value}" for key, value in fields.items())
     # One format string per row: "%d %d %d" for three columns.
     row = " ".join(["%d"] * a.columns)
     return "\n".join([header, *map(row.__mod__, a.entries)]) + "\n"
@@ -244,7 +233,7 @@ def _build(
     converts each header count and entry (``int`` for text tokens).  With
     ``ready``, ``rows`` is already a tuple of k-tuples of ints and goes in
     as it is; the array's own check still range-checks every entry."""
-    missing = [k for k in ("kind", "k", "n", "h", "form") if k not in fields]
+    missing = [k for k in _HEADER_KEYS[:-1] if k not in fields]  # lambda is optional
     if missing:
         raise ParseError(f"header missing {', '.join(missing)}")
     try:
@@ -295,28 +284,12 @@ def _json_entries(rows: object, k: object) -> tuple[tuple[int, ...], ...] | None
     return None
 
 
-def _text_entries(lines: Iterable[str], k: str) -> tuple[tuple[int, ...], ...] | None:
-    """The entries of body ``lines`` converted in one streaming pass, or
-    None unless the header's ``k`` is a positive decimal and every line
-    holds exactly k integer tokens (a blank line holds none)."""
-    if not k.isdecimal() or not int(k):
-        return None
-    try:
-        rows = tuple(map(tuple, map(map, repeat(int), map(str.split, lines))))
-    except ValueError:
-        return None
-    return rows if set(map(len, rows)) == {int(k)} else None
-
-
 def read_array(text: str) -> ResidueArray:
     """Parse an array from its text or JSON serialization.
 
-    Text files may carry ``#`` comments; the first content line is the
-    header.  JSON counts and entries must be JSON integers.  Row counts
-    must match the declared kind and form.  A canonical file, as
-    :func:`write_array` gives, is converted in one pass; anything else
-    (comments, blank or irregular lines, non-integer entries) is read
-    line by line, which gives every error its message.
+    Text files may carry ``#`` comments and blank lines; the first
+    content line is the header.  JSON counts and entries must be JSON
+    integers.  Row counts must match the declared kind and form.
     """
     if text.lstrip().startswith("{"):
         import json
@@ -325,28 +298,25 @@ def read_array(text: str) -> ResidueArray:
             obj = json.loads(text)
         except (ValueError, RecursionError) as exc:
             raise ParseError(f"bad JSON: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise ParseError("JSON array file must be an object")
+        # Text that starts with "{" and parses is an object.
         if "entries" not in obj:
             raise ParseError("JSON array file has no entries")
         entries = _json_entries(obj["entries"], obj.get("k"))
         if entries is not None:
             return _build(obj, entries, _json_int, ready=True)
         return _build(obj, obj["entries"], _json_int)
-    raw = text.splitlines()
-    lines = (c for line in raw if (c := line.split("#", 1)[0].strip()))
-    header = next(lines, None)
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    # Every content line as its tokens; blank lines split to nothing.
+    rows = filter(None, map(str.split, lines))
+    header = next(rows, None)
     if header is None:
         raise ParseError("empty file")
     fields: dict[str, str] = {}
-    for token in header.split():
+    for token in header:
         key, sep, value = token.partition("=")
         if not sep or key not in _HEADER_KEYS or key in fields:
             raise ParseError(f"bad header token {token!r}")
         fields[key] = value
-    if "#" not in text and header == raw[0].strip():
-        # The header is the first line, so the body is every line after it.
-        entries = _text_entries(islice(raw, 1, None), fields.get("k", ""))
-        if entries is not None:
-            return _build(fields, entries, ready=True)
-    return _build(fields, map(str.split, lines))
+    return _build(fields, rows)

@@ -98,30 +98,6 @@ def classify_pair(a: LatinSquare, b: LatinSquare) -> Classification:
     return Classification.PSEUDO_ORTHOGONAL
 
 
-def mnols_set_check(squares: list[LatinSquare]) -> VerificationReport:
-    """Pass iff every unordered pair of squares classifies as
-    NearlyOrthogonal (a set of mutually nearly orthogonal squares)."""
-    if len(squares) < 2:
-        raise ValueError(f"need at least two squares, got {len(squares)}")
-    orders = {sq.order for sq in squares}
-    if len(orders) > 1:
-        raise OrderMismatch(f"orders differ: {sorted(orders)}")
-    checks = []
-    for s in range(1, len(squares)):
-        for t in range(s):
-            label = classify_pair(squares[s], squares[t])
-            ok = label is Classification.NEARLY_ORTHOGONAL
-            witness = None
-            if not ok:
-                witness = Witness(
-                    pair=(s, t),
-                    expected=Classification.NEARLY_ORTHOGONAL.value,
-                    actual=label.value,
-                )
-            checks.append(Check(f"pair({s},{t})", ok, witness))
-    return VerificationReport(tuple(checks))
-
-
 def williams_order(n: int) -> list[int]:
     """The zig-zag column ordering 0, 1, n-1, 2, n-2, ..., n/2 whose
     successive differences exhaust the nonzero residues; defined for even

@@ -6,7 +6,8 @@ values v with v - s in such a set D are then the low n bits of
 ``D >> (n - s)``, with no rotation and no ``% n``.  Candidates are taken
 lowest bit first, so values are tried in ascending order.
 
-Third-column search: depth-first over rows in fixed order.  The
+Third-column search: depth-first over rows in fixed order, against the
+fixed first two columns, the identity and the odd-then-even column.  The
 candidates for row i are the unused values that keep both constrained
 column pairs within their difference capacities: 0 for the zero residue,
 2 for n/2, 1 otherwise.  The solution list is in lexicographic order.
@@ -29,12 +30,18 @@ Searches never self-certify; callers verify outputs independently.
 
 from __future__ import annotations
 
+import sys
 from typing import Callable
 
-from .core import BadHole, BudgetExhausted, InfeasibleFixedColumns, Kind, NoSolution, ResidueArray, diff_counts
+from .core import BadHole, BudgetExhausted, Kind, NoSolution, ResidueArray
 from .tables import odd_even_column
 
 StatusFn = Callable[[dict[str, int]], None]
+
+
+# Frames left below the recursion limit for the search's callers and its
+# status callback.
+_CALLER_FRAMES = 100
 
 
 def _check_settings(node_budget: int, status_interval: int, result_limit: int | None = None) -> None:
@@ -46,15 +53,16 @@ def _check_settings(node_budget: int, status_interval: int, result_limit: int | 
         raise ValueError(f"status interval must be non-negative, got {status_interval}")
 
 
+def _check_depth(depth: int) -> None:
+    """Refuse a search that needs ``depth`` nested calls when they do not
+    fit under the recursion limit beside the caller's frames."""
+    room = sys.getrecursionlimit() - _CALLER_FRAMES
+    if depth > room:
+        raise ValueError(f"search needs {depth} nested calls, more than the {room} the recursion limit leaves")
+
+
 class _Budget(Exception):
     pass
-
-
-def _difference_caps(n: int) -> list[int]:
-    caps = [1] * n
-    caps[0] = 0
-    caps[n // 2] = 2
-    return caps
 
 
 def _doubled_bits(n: int) -> list[int]:
@@ -66,17 +74,14 @@ def _doubled_bits(n: int) -> list[int]:
 def search_third_column(
     order: int,
     *,
-    col0: tuple[int, ...] | None = None,
-    col1: tuple[int, ...] | None = None,
     node_budget: int = 10**9,
     result_limit: int | None = None,
     status_interval: int = 0,
     status: StatusFn | None = None,
 ) -> list[tuple[int, ...]]:
-    """All third columns completing the fixed pair to a strict reduced
-    DCA(4, n+1; n), in lexicographic order, up to ``result_limit``.
-    ``col0``/``col1`` default to the identity and the odd-then-even
-    pattern.
+    """All third columns completing the identity and the odd-then-even
+    column to a strict reduced DCA(4, n+1; n), in lexicographic order, up
+    to ``result_limit``.
 
     Raises BudgetExhausted only when the budget runs out with nothing
     found; a partial list is returned otherwise.
@@ -85,13 +90,9 @@ def search_third_column(
     n = order
     if n % 2 or n < 6:
         raise ValueError(f"order must be even and at least 6, got {n}")
-    col0 = col0 if col0 is not None else tuple(range(n))
-    col1 = col1 if col1 is not None else odd_even_column(n)
-    for name, col in (("col0", col0), ("col1", col1)):
-        if sorted(col) != list(range(n)):
-            raise ValueError(f"{name} must be a permutation of the residues")
-    if diff_counts(col1, col0, n) != _difference_caps(n):
-        raise InfeasibleFixedColumns("fixed columns do not satisfy the difference profile")
+    # One call per row, and one more for the complete column.
+    _check_depth(n + 1)
+    col1 = odd_even_column(n)
 
     full = (1 << n) - 1
     dbl = _doubled_bits(n)
@@ -110,9 +111,8 @@ def search_third_column(
         if i == n:
             solutions.append(tuple(column))
             return len(solutions) == result_limit
-        c0 = col0[i]
         c1 = col1[i]
-        cand = free & a0 >> n - c0 & a1 >> n - c1
+        cand = free & a0 >> n - i & a1 >> n - c1
         while cand:
             b = cand & -cand
             cand ^= b
@@ -123,7 +123,7 @@ def search_third_column(
                 status({"nodes": nodes, "depth": i, "solutions": len(solutions)})
             v = b.bit_length() - 1
             column[i] = v
-            u0 = dbl[v - c0] or (spare if a0 & spare else half)
+            u0 = dbl[v - i] or (spare if a0 & spare else half)
             u1 = dbl[v - c1] or (spare if a1 & spare else half)
             if dfs(i + 1, free ^ b, a0 ^ u0, a1 ^ u1):
                 return True
@@ -159,6 +159,8 @@ def search_hdm(
     _check_settings(node_budget, status_interval)
     if h < 1 or h >= n or n % h:
         raise BadHole(f"hole {h} must divide order {n} with 1 <= h < n")
+    # One call per non-hole row, and one more once every row is filled.
+    _check_depth(n - h + 1)
     every = status_interval if status is not None else 0
     u = n // h
     hole = {j * u for j in range(h)}

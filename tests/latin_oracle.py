@@ -5,7 +5,8 @@ offset columns of cyclic squares.  The functions here decide the same
 things the long way, by scanning full n x n grids, so the fast path can
 be checked against them.  They accept any object with ``order`` and
 ``grid`` attributes: a ``GridSquare`` built naively from offsets, or a
-``LatinSquare`` through its derived ``grid``.
+``LatinSquare`` through its derived ``grid``.  ``mnols_set_check`` is the
+set-level check the tests apply to the squares of a DCA.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from diffcover.latin import Classification, OrderMismatch
+from diffcover.latin import Classification, OrderMismatch, classify_pair
 from diffcover.verify import Check, VerificationReport, Witness
 
 
@@ -107,3 +108,27 @@ def check_row_complete(square, ordering) -> VerificationReport:
             seen[idx] = 1
             prev = cur
     return VerificationReport((Check("row-complete", True),))
+
+
+def mnols_set_check(squares) -> VerificationReport:
+    """Pass iff every unordered pair of squares classifies as
+    NearlyOrthogonal (a set of mutually nearly orthogonal squares)."""
+    if len(squares) < 2:
+        raise ValueError(f"need at least two squares, got {len(squares)}")
+    orders = {sq.order for sq in squares}
+    if len(orders) > 1:
+        raise OrderMismatch(f"orders differ: {sorted(orders)}")
+    checks = []
+    for s in range(1, len(squares)):
+        for t in range(s):
+            label = classify_pair(squares[s], squares[t])
+            ok = label is Classification.NEARLY_ORTHOGONAL
+            witness = None
+            if not ok:
+                witness = Witness(
+                    pair=(s, t),
+                    expected=Classification.NEARLY_ORTHOGONAL.value,
+                    actual=label.value,
+                )
+            checks.append(Check(f"pair({s},{t})", ok, witness))
+    return VerificationReport(tuple(checks))

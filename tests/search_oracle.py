@@ -23,19 +23,15 @@ class OrderTooLarge(DesignError):
     """Exhaustive enumeration is limited to orders up to 12."""
 
 
-def enumerate_third_columns(
-    order: int,
-    col0: tuple[int, ...] | None = None,
-    col1: tuple[int, ...] | None = None,
-) -> list[tuple[int, ...]]:
-    """Every admissible third column, in lexicographic order.  ``col0`` and
-    ``col1`` default to the identity and the odd-then-even pattern."""
+def enumerate_third_columns(order: int) -> list[tuple[int, ...]]:
+    """Every admissible third column against the identity and the
+    odd-then-even column, in lexicographic order."""
     if order > 12:
         raise OrderTooLarge(f"exhaustive enumeration capped at order 12, got {order}")
     if order % 2 or order < 2:
         raise ValueError(f"order must be even and positive, got {order}")
-    c0 = col0 if col0 is not None else tuple(range(order))
-    c1 = col1 if col1 is not None else odd_even_column(order)
+    c0 = tuple(range(order))
+    c1 = odd_even_column(order)
     # Difference capacities: 0 for the zero residue, 2 for n/2, 1 otherwise.
     caps = [1] * order
     caps[0] = 0

@@ -32,7 +32,6 @@ from diffcover.core import Form, ResidueArray, diff_counts, read_array, to_reduc
 from diffcover.latin import (
     check_row_complete,
     latin_from_dca,
-    mnols_set_check,
     williams_order,
 )
 from diffcover.search import search_hdm, search_third_column
@@ -40,7 +39,7 @@ from diffcover.tables import SEARCHED_THIRD_COLUMNS
 from diffcover.verify import verify_dca, verify_hdm
 
 from conftest import B_TEXT, mutate
-from latin_oracle import superimpose
+from latin_oracle import mnols_set_check, superimpose
 from search_oracle import enumerate_third_columns
 from test_construct import (
     EXAMPLE_26_B,

@@ -13,9 +13,18 @@ import pytest
 
 import diffcover
 from diffcover.cli import main
-from diffcover.construct import METHODS, construct_by_method, construct_odd, spectrum_report
+from diffcover.construct import (
+    METHODS,
+    construct_by_method,
+    construct_odd,
+    dca_from_third_column,
+    dm_prime,
+    hdm_product,
+    spectrum_report,
+)
 from diffcover.core import Form, read_array, write_array
 from diffcover.latin import williams_order
+from diffcover.search import search_hdm, search_third_column
 from diffcover.verify import verify_dca
 
 import latin_oracle as oracle
@@ -100,6 +109,22 @@ def test_verify_mutated(tmp_path, capsys):
     assert "fail" in captured.out and "witness" not in captured.err
 
 
+def test_verify_hdm_file(tmp_path, capsys):
+    # An HDM file is checked as an HDM; one changed entry fails with a
+    # witness on its check's line.
+    arr = hdm_product(search_hdm(10, 2), dm_prime(7, 4))
+    path = tmp_path / "hdm70.txt"
+    path.write_text(write_array(arr))
+    assert main(["verify", str(path)]) == 0
+    assert capsys.readouterr().out.endswith("verdict: pass\n")
+    path.write_text(write_array(mutate(arr, 0, 1, (arr.entries[0][1] + 1) % arr.order)))
+    assert main(["verify", str(path)]) == 1
+    *lines, verdict = capsys.readouterr().out.splitlines()
+    assert verdict == "verdict: fail"
+    failed = [line for line in lines if ": fail " in line]
+    assert failed and all(json.loads(line.split(": fail ", 1)[1]) for line in failed)
+
+
 def test_verify_truncated(tmp_path, capsys):
     path = tmp_path / "broken.txt"
     path.write_text("\n".join(B_TEXT.splitlines()[:-1]) + "\n")
@@ -118,6 +143,21 @@ def test_search_order(capsys):
     assert verify_dca(arr, strict=True).passed
     status = [json.loads(line) for line in captured.err.splitlines()]
     assert status and status[-1]["solutions"] == 1
+
+
+def test_search_order_limit_separates_arrays(capsys):
+    # Each array found is printed in turn, with a blank line between two.
+    assert main(["search", "--order", "8", "--limit", "2"]) == 0
+    arrays = [dca_from_third_column(col) for col in search_third_column(8, result_limit=2)]
+    assert capsys.readouterr().out == "\n".join(map(write_array, arrays))
+
+
+@pytest.mark.parametrize("argv", [["--order", "2400"], ["--hdm", "2400,2"], ["--order", "20000"]])
+def test_search_past_the_recursion_limit_is_a_usage_error(argv, capsys):
+    code = main(["search", *argv])
+    captured = capsys.readouterr()
+    _assert_usage_error(code, captured)
+    assert captured.err.count("\n") == 1 and "recursion limit" in captured.err
 
 
 def test_search_budget_exhausted(capsys):
@@ -279,6 +319,13 @@ def _assert_usage_error(code: int, captured) -> None:
 def test_construct_unwritable_out_is_a_usage_error(capsys):
     code = main(["construct", "--order", "26", "--out", "/nonexistent/dir/x.txt"])
     _assert_usage_error(code, capsys.readouterr())
+
+
+def test_latin_on_dm_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "dm7.txt"
+    path.write_text(write_array(dm_prime(7, 4)))
+    code = main(["latin", str(path)])
+    assert (code, capsys.readouterr()) == (2, ("", "error: latin derivation needs a DCA, got DM\n"))
 
 
 def test_latin_on_single_column_dca_is_a_usage_error(tmp_path, capsys):

@@ -190,8 +190,13 @@ def _golden_json(**changes) -> str:
         "kind=HDM k=2 n=4 h=4 form=full\n0 0\n",
         json.dumps({"kind": "DM", "k": 2, "n": 0, "h": 0, "form": "full", "entries": [[0, 0]]}),
         '{"kind": ' + "[" * 100_000 + "]" * 100_000 + "}",
+        "kind=HDM k=2 n=4 h=2 form=full\n1 1\n1 3\n3 3\n",
+        "kind=DM k=2 n=3 h=0 form=full\n0 0\n1 0\n",
     ],
-    ids=["lambda-str", "lambda-null", "entry-1e400", "hdm-h-equals-n", "dm-n-zero", "deep-json"],
+    ids=[
+        "lambda-str", "lambda-null", "entry-1e400", "hdm-h-equals-n", "dm-n-zero", "deep-json",
+        "hdm-row-count", "dm-row-count",
+    ],
 )
 def test_read_rejects_malformed_file_with_parse_error(text):
     with pytest.raises(ParseError):

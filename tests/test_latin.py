@@ -14,12 +14,11 @@ from diffcover.latin import (
     check_row_complete,
     classify_pair,
     latin_from_dca,
-    mnols_set_check,
     williams_order,
     write_latin,
 )
 
-from latin_oracle import adjacent_pairs, superimpose
+from latin_oracle import adjacent_pairs, mnols_set_check, superimpose
 
 
 def cyclic_square(n: int, multiplier: int) -> LatinSquare:

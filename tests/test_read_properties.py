@@ -3,18 +3,20 @@
 
 The inputs are the contract suite's generated files, canonical files
 respelled in ways the text format allows (line endings, separators,
-blank lines, integer spellings ``int`` accepts) or breaks, and JSON files
-with non-integer or misplaced entries.
+blank lines, integer spellings ``int`` accepts) or breaks, JSON files
+with non-integer or misplaced entries, and HDM and DM files one row
+short.
 """
 
 from __future__ import annotations
 
 import json
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from diffcover.core import ParseError, read_array, write_array
+from diffcover.core import Kind, ParseError, read_array, write_array
 
 import read_oracle
 from test_contract_properties import VALID_ARRAYS, file_texts
@@ -145,3 +147,20 @@ def test_respelled_files_read_back():
                 body = [sep.join(spell(int(tok)) for tok in row.split()) for row in rows]
                 text = end.join([header.replace(" ", sep), *body]) + end
                 assert read_array(text) == read_oracle.read_array(text) == arr, (spell, sep, end)
+
+
+# Each HDM and DM array one row short, in both formats: the row count
+# fits neither kind.
+SHORT_FILES = [
+    write_array(arr._replace(entries=arr.entries[:-1]), fmt=fmt)
+    for arr in VALID_ARRAYS
+    if arr.kind is not Kind.DCA
+    for fmt in ("text", "json")
+]
+
+
+@pytest.mark.parametrize("text", SHORT_FILES)
+def test_read_array_matches_oracle_on_short_files(text):
+    with pytest.raises(ParseError, match="rows, got"):
+        read_array(text)
+    assert_agrees(text)

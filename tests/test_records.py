@@ -60,7 +60,6 @@ def test_mapped_errors_live_in_core():
         "CertificationFailed": [construct],
         "NoMethod": [construct],
         "BudgetExhausted": [search],
-        "InfeasibleFixedColumns": [search],
         "NoSolution": [search],
     }
     mapped = [cls for cls in cli.EXIT_CODES if issubclass(cls, core.DesignError)]

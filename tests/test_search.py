@@ -2,15 +2,15 @@
 
 from __future__ import annotations
 
-from math import gcd
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
 from diffcover.core import Form, Kind, ResidueArray
 from diffcover.search import (
+    _CALLER_FRAMES,
     BudgetExhausted,
-    InfeasibleFixedColumns,
     NoSolution,
     search_hdm,
     search_third_column,
@@ -77,15 +77,7 @@ def test_result_limit():
     assert search_third_column(8, result_limit=1) == full[:1]
 
 
-def test_infeasible_fixed_columns():
-    ident = tuple(range(6))
-    with pytest.raises(InfeasibleFixedColumns):
-        search_third_column(6, col0=ident, col1=ident)
-
-
 def test_fixed_column_validation():
-    with pytest.raises(ValueError):
-        search_third_column(6, col0=(0, 1, 2, 3, 4, 4))
     with pytest.raises(ValueError):
         search_third_column(7)
     for order in (2, 4):
@@ -142,26 +134,6 @@ def test_order_fourteen_pipeline_ingredient():
     cols = search_third_column(14, result_limit=1)
     assert len(cols) == 1
     assert verify_dca(assemble(14, cols[0]), strict=True).passed
-
-
-@st.composite
-def fixed_pairs(draw):
-    """A joint row permutation and a unit multiple of the default pair,
-    which keeps the pair's difference profile."""
-    order = draw(st.sampled_from([6, 8, 10]))
-    rows = draw(st.permutations(range(order)))
-    unit = draw(st.sampled_from([m for m in range(1, order) if gcd(m, order) == 1]))
-    default1 = odd_even_column(order)
-    col0 = tuple(unit * r % order for r in rows)
-    col1 = tuple(unit * default1[r] % order for r in rows)
-    return order, col0, col1
-
-
-@given(fixed_pairs())
-def test_search_equals_enumeration_for_fixed_columns(pair):
-    order, col0, col1 = pair
-    found = search_third_column(order, col0=col0, col1=col1)
-    assert found == enumerate_third_columns(order, col0, col1)
 
 
 @given(st.sampled_from([6, 8, 10, 12]), st.integers(1, 40_000))
@@ -231,3 +203,39 @@ def test_hdm_status_events_every_interval(n, h, every):
     total = events[-1]["nodes"]
     assert [e["nodes"] for e in events[:-1]] == list(range(every, total + 1, every))
     assert all(e["solutions"] == 0 for e in events[:-1])
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda: search_third_column(2400, node_budget=1),
+        lambda: search_hdm(2400, 2, node_budget=1),
+        lambda: search_third_column(20_000, node_budget=1),
+    ],
+    ids=["order-2400", "hdm-2400-2", "order-20000"],
+)
+def test_searches_refuse_depths_past_the_recursion_limit(search):
+    # Each search recurses once per row.  A depth that cannot fit is a
+    # ValueError raised before any mask is built or node counted, not a
+    # RecursionError.
+    with pytest.raises(ValueError, match="recursion limit"):
+        search()
+
+
+def test_deepest_admitted_searches_fit_the_recursion_limit():
+    # With the limit lowered so that order 14 (15 nested calls) and HDM
+    # 14,2 (13) are the deepest searches admitted, both run to their
+    # pinned results beneath pytest's own frames; one step deeper is
+    # refused.
+    limit = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(_CALLER_FRAMES + 15)
+        assert search_third_column(14, result_limit=1) == [THIRD_PINS[14][1]]
+        with pytest.raises(ValueError, match="recursion limit"):
+            search_third_column(16, node_budget=1)
+        sys.setrecursionlimit(_CALLER_FRAMES + 13)
+        assert search_hdm(14, 2).entries == tuple(row + (0,) for row in HDM_PINS[14, 2][1])
+        with pytest.raises(ValueError, match="recursion limit"):
+            search_hdm(16, 2, node_budget=1)
+    finally:
+        sys.setrecursionlimit(limit)
