@@ -10,8 +10,6 @@ from importlib import import_module as _import_module
 
 _MODULES = {
     "core": (
-        "BadHole",
-        "BadShape",
         "BudgetExhausted",
         "CertificationFailed",
         "DesignError",
@@ -38,13 +36,9 @@ _MODULES = {
         "verify_hdm",
     ),
     "construct": (
-        "BadIndex",
         "BadParams",
         "IngredientInvalid",
-        "MismatchedK",
-        "NotPrime",
         "SpectrumEntry",
-        "TooManyColumns",
         "construct_4m",
         "construct_4m_general",
         "construct_6mu",

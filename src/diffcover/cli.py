@@ -16,8 +16,6 @@ from itertools import combinations
 from typing import TYPE_CHECKING, TextIO
 
 from .core import (
-    BadHole,
-    BadShape,
     BudgetExhausted,
     CertificationFailed,
     Form,
@@ -78,14 +76,12 @@ EXIT_NO_RESULT = 3
 # ValueError covers UnicodeDecodeError from a file that is not UTF-8.
 EXIT_CODES: dict[type[Exception], int] = {
     CertificationFailed: EXIT_VERIFY,
-    BadShape: EXIT_VERIFY,
     OddOrderStrict: EXIT_VERIFY,
     NotNormalized: EXIT_VERIFY,
     NoMethod: EXIT_NO_RESULT,
     NoSolution: EXIT_NO_RESULT,
     BudgetExhausted: EXIT_NO_RESULT,
     ParseError: EXIT_USAGE,
-    BadHole: EXIT_USAGE,
     ValueError: EXIT_USAGE,
     OSError: EXIT_USAGE,
 }

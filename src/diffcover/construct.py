@@ -19,48 +19,16 @@ from .core import CertificationFailed, DesignError, Form, Kind, NoMethod, OddOrd
 
 
 class BadParams(DesignError):
-    """Family parameters violate a gcd, congruence, or range condition."""
-
-
-class BadIndex(BadParams):
-    """Family index outside the admissible residue classes."""
-
-
-class NotPrime(DesignError):
-    pass
-
-
-class TooManyColumns(DesignError):
-    pass
+    """Family or prime-DM parameters violate a gcd, congruence, range,
+    index or primality condition."""
 
 
 class IngredientInvalid(DesignError):
     """A combinator input failed its verifier or shape requirements."""
 
 
-class MismatchedK(DesignError):
-    """Combinator inputs have different column counts."""
-
-
 def _reduced_dca(order: int, rows: list[tuple[int, int, int]]) -> ResidueArray:
     return ResidueArray.from_rows(Kind.DCA, order, rows, form=Form.REDUCED)
-
-
-def _interval_pieces(n: int, bounds: list[tuple[int, int]]) -> list[int]:
-    """Map residue -> interval index; the intervals must partition [0, n)."""
-    piece = [-1] * n
-    for idx, (lo, hi) in enumerate(bounds):
-        lo %= n
-        hi %= n
-        if lo > hi:
-            raise BadParams(f"interval {idx} is empty after reduction: [{lo}, {hi}]")
-        for x in range(lo, hi + 1):
-            if piece[x] != -1:
-                raise BadParams(f"intervals overlap at {x}")
-            piece[x] = idx
-    if any(p == -1 for p in piece):
-        raise BadParams("intervals do not cover the residues")
-    return piece
 
 
 def construct_odd(m: int, f: int) -> ResidueArray:
@@ -85,12 +53,11 @@ def construct_odd(m: int, f: int) -> ResidueArray:
     # Consequences of the assumptions; failures would be internal bugs.
     assert gcd(f, m) == 1 and gcd(f + 1, m) == 1 and gcd(f - 1, m) == 1
     assert gcd(2 * f + 1, m) == 1 and (m * f) % n == 0
-    piece = _interval_pieces(
-        n, [(0, m + f), (m + f + 1, m - 1), (m, m - f - 1), (m - f, n - 1)]
-    )
     rows = []
     for a in range(n):
-        idx = piece[a]
+        # The four intervals [0, m+f], [m+f+1, m-1], [m, m-f-1], [m-f, n-1]
+        # mod n; with m+3 <= f <= 2m-4 they split [0, n) at f-m+1, m and 3m-f.
+        idx = (a > f - m) + (a >= m) + (a >= 3 * m - f)
         b = (a * f + m) if idx < 2 else ((a + 1) * f + m - 1)
         if idx == 0:
             c = -(a - 1) * (f + 1) - 2
@@ -108,7 +75,7 @@ def params_odd(i: int) -> tuple[int, int]:
     """Parameters of the infinite subfamily indexed by i >= 0, i != 2 mod 3:
     m = 2(2i^2+7i+6)+1 and f = m+3+2i."""
     if i < 0 or i % 3 == 2:
-        raise BadIndex(f"index must be non-negative and not 2 mod 3, got {i}")
+        raise BadParams(f"index must be non-negative and not 2 mod 3, got {i}")
     m = 2 * (2 * i * i + 7 * i + 6) + 1
     return m, m + 3 + 2 * i
 
@@ -148,7 +115,7 @@ def construct_4m(k: int) -> ResidueArray:
     """Subfamily of order 16k+8 with m = 4k+2 and f = 2m-2, defined for
     k >= 0 with k != 1 mod 3."""
     if k < 0 or k % 3 == 1:
-        raise BadIndex(f"index must be non-negative and not 1 mod 3, got {k}")
+        raise BadParams(f"index must be non-negative and not 1 mod 3, got {k}")
     m = 4 * k + 2
     return construct_4m_general(m, 2 * m - 2)
 
@@ -224,11 +191,11 @@ def dm_prime(p: int, k: int) -> ResidueArray:
     table q(i, j) = i*(j+1) for j < k-1 with an all-zero last column, rows
     rotated so the zero row comes last."""
     if not _is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+        raise BadParams(f"{p} is not prime")
     if k > p:
-        raise TooManyColumns(f"k = {k} exceeds p = {p}")
+        raise BadParams(f"k = {k} exceeds p = {p}")
     if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+        raise BadParams(f"k must be positive, got {k}")
     rows = []
     for i in list(range(1, p)) + [0]:
         rows.append(tuple((i * (j + 1)) % p for j in range(k - 1)) + (0,))
@@ -251,9 +218,12 @@ def insert_hole(hdm: ResidueArray, dca_hole: ResidueArray) -> ResidueArray:
     _require(hdm.kind is Kind.HDM, "first ingredient must be an HDM")
     _require(dca_hole.kind is Kind.DCA, "second ingredient must be a DCA")
     full_hole = to_full(dca_hole) if dca_hole.form is Form.REDUCED else dca_hole
-    if hdm.columns != full_hole.columns:
-        raise MismatchedK(f"column counts differ: {hdm.columns} vs {full_hole.columns}")
-    _require(verify_hdm(hdm).passed, "HDM ingredient fails verification")
+    _require(
+        hdm.columns == full_hole.columns, f"column counts differ: {hdm.columns} vs {full_hole.columns}"
+    )
+    hdm_report = verify_hdm(hdm)
+    _require(hdm_report.passed, "HDM ingredient fails verification")
+    _require(hdm_report.meta["lambda"] == 1, "HDM ingredient must have lambda = 1")
     n, h = hdm.order, hdm.hole
     _require(dca_hole.order == h, f"hole DCA order {dca_hole.order} != hole size {h}")
     try:
@@ -276,8 +246,7 @@ def hdm_product(hdm: ResidueArray, dm: ResidueArray) -> ResidueArray:
 
     _require(hdm.kind is Kind.HDM, "first ingredient must be an HDM")
     _require(dm.kind is Kind.DM, "second ingredient must be a DM")
-    if hdm.columns != dm.columns:
-        raise MismatchedK(f"column counts differ: {hdm.columns} vs {dm.columns}")
+    _require(hdm.columns == dm.columns, f"column counts differ: {hdm.columns} vs {dm.columns}")
     _require(verify_hdm(hdm).passed, "HDM ingredient fails verification")
     dm_report = verify_dm(dm)
     _require(dm_report.passed, "DM ingredient fails verification")
@@ -298,10 +267,7 @@ def hdm_product(hdm: ResidueArray, dm: ResidueArray) -> ResidueArray:
 def _odd_f_index(order: int) -> int | None:
     # order = 2m with m = 2(2i^2+7i+6)+1 exactly when 2*order - 3 = (4i+7)^2.
     i = (isqrt(max(2 * order - 3, 0)) - 7) // 4
-    try:
-        return i if 2 * params_odd(i)[0] == order else None
-    except BadIndex:
-        return None
+    return i if i >= 0 and i % 3 != 2 and 2 * params_odd(i)[0] == order else None
 
 
 def _four_m_index(order: int) -> int | None:

@@ -41,14 +41,6 @@ class NoMethod(DesignError):
     """No implemented method covers the requested order."""
 
 
-class BadShape(DesignError):
-    """Row count incompatible with the declared kind and order."""
-
-
-class BadHole(DesignError):
-    """Hole size does not divide the group order."""
-
-
 class OddOrderStrict(DesignError):
     """Strict DCA checks require even order (the forced repeat is n/2)."""
 
@@ -129,6 +121,20 @@ class ResidueArray(Record, _ResidueArray):
                 raise ValueError(f"{self.kind.value} arrays carry no hole")
         if self.form is Form.REDUCED and self.kind is not Kind.DCA:
             raise ValueError("reduced form applies to DCA arrays only")
+        # The row count of each kind: n+1 (full) or n (reduced) for a DCA,
+        # a multiple of n-h for an HDM and of n for a DM.
+        count, n, h = len(self.entries), self.order, self.hole
+        if self.kind is Kind.DCA:
+            want = n + 1 if self.form is Form.FULL else n
+            if count != want:
+                raise ValueError(f"{self.form.value} DCA over Z_{n} needs {want} rows, got {count}")
+        elif self.kind is Kind.HDM:
+            if count % (n - h):
+                raise ValueError(
+                    f"HDM over Z_{n} with hole {h} needs a multiple of {n - h} rows, got {count}"
+                )
+        elif count % n:
+            raise ValueError(f"DM over Z_{n} needs a multiple of {n} rows, got {count}")
 
     @classmethod
     def from_rows(
@@ -252,21 +258,10 @@ def _build(
         arr = ResidueArray(kind, n, h, form, tuple(entries))
     except (ValueError, TypeError) as exc:
         raise ParseError(str(exc)) from exc
-    # The array checks above guarantee n >= 1 and 1 <= h < n, so the
-    # divisions below are safe.
-    count = arr.rows
-    if kind is Kind.DCA:
-        want = n + 1 if form is Form.FULL else n
-        if count != want:
-            raise ParseError(f"{form.value} DCA over Z_{n} needs {want} rows, got {count}")
-    elif kind is Kind.HDM:
-        if count % (n - h):
-            raise ParseError(f"HDM over Z_{n} with hole {h} needs a multiple of {n - h} rows, got {count}")
-    else:
-        if count % n:
-            raise ParseError(f"DM over Z_{n} needs a multiple of {n} rows, got {count}")
-        if lam is not None and count != lam * n:
-            raise ParseError(f"lambda={lam} inconsistent with {count} rows over Z_{n}")
+    # The array checks the row count of its kind; only a header carries
+    # lambda, so its consistency is checked here.
+    if lam is not None and kind is Kind.DM and arr.rows != lam * n:
+        raise ParseError(f"lambda={lam} inconsistent with {arr.rows} rows over Z_{n}")
     return arr
 
 

@@ -21,9 +21,8 @@ Both searches take their settings as keyword arguments: ``node_budget``
 (nodes before BudgetExhausted), ``status_interval`` and ``status`` (a
 callback given a counter dict every ``status_interval`` nodes when the
 interval is positive, and once more at the end unless the budget runs
-out with nothing found), and for the third-column
-search ``result_limit`` (stop after this many solutions) and the fixed
-columns ``col0``/``col1``.
+out with nothing found), and for the third-column search
+``result_limit`` (stop after this many solutions).
 
 Searches never self-certify; callers verify outputs independently.
 """
@@ -33,7 +32,7 @@ from __future__ import annotations
 import sys
 from typing import Callable
 
-from .core import BadHole, BudgetExhausted, Kind, NoSolution, ResidueArray
+from .core import BudgetExhausted, Kind, NoSolution, ResidueArray
 from .tables import odd_even_column
 
 StatusFn = Callable[[dict[str, int]], None]
@@ -158,7 +157,7 @@ def search_hdm(
     """
     _check_settings(node_budget, status_interval)
     if h < 1 or h >= n or n % h:
-        raise BadHole(f"hole {h} must divide order {n} with 1 <= h < n")
+        raise ValueError(f"hole {h} must divide order {n} with 1 <= h < n")
     # One call per non-hole row, and one more once every row is filled.
     _check_depth(n - h + 1)
     every = status_interval if status is not None else 0

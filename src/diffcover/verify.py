@@ -7,13 +7,17 @@ oracles for everything the package builds.  Residues are walked only to
 find the witness of a failing check, which is deterministic: smallest
 column pair first (pairs enumerated (1,0), (2,0), (2,1), ...), then
 smallest residue.
+
+The row count and hole of each kind are rules of the array itself,
+checked whenever one is built, so every array a verifier sees has the
+shape of its kind.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .core import BadHole, BadShape, Form, Kind, OddOrderStrict, ResidueArray, diff_counts
+from .core import Form, Kind, OddOrderStrict, ResidueArray, diff_counts
 
 
 class Witness(NamedTuple):
@@ -126,8 +130,6 @@ def verify_dm(a: ResidueArray) -> VerificationReport:
     if a.kind is not Kind.DM:
         raise ValueError(f"verify_dm expects a DM array, got {a.kind.value}")
     n = a.order
-    if a.rows % n:
-        raise BadShape(f"DM rows {a.rows} not a multiple of order {n}")
     lam = a.rows // n
     check = _balance_check("difference-balance", _pair_counts(list(zip(*a.entries)), n), [lam] * n)
     return VerificationReport((check,), meta={"lambda": lam})
@@ -140,10 +142,6 @@ def verify_hdm(a: ResidueArray) -> VerificationReport:
     if a.kind is not Kind.HDM:
         raise ValueError(f"verify_hdm expects an HDM array, got {a.kind.value}")
     n, h = a.order, a.hole
-    if h < 1 or n % h:
-        raise BadHole(f"hole {h} does not divide order {n}")
-    if a.rows % (n - h):
-        raise BadShape(f"HDM rows {a.rows} not a multiple of {n - h}")
     lam = a.rows // (n - h)
     u = n // h
     hole = range(0, n, u)
@@ -203,8 +201,6 @@ def verify_dca(a: ResidueArray, strict: bool = False) -> VerificationReport:
     if strict:
         if n % 2:
             raise OddOrderStrict(f"strict checks need even order, got {n}")
-        if rows != n + 1:
-            raise BadShape(f"full DCA over Z_{n} needs {n + 1} rows, got {rows}")
         zero_twice = Check("zero-twice-per-column", True)
         for j, col in enumerate(cols):
             zeros = col.count(0)

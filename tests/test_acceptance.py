@@ -15,7 +15,6 @@ from pathlib import Path
 import pytest
 
 from diffcover.construct import (
-    BadIndex,
     BadParams,
     construct_4m,
     construct_6mu,
@@ -306,7 +305,7 @@ def test_criterion_09_negative_controls():
         assert _witness_is_correct(bad, report), (i, j, v)
     with pytest.raises(BadParams):
         construct_odd(13, 15)
-    with pytest.raises(BadIndex):
+    with pytest.raises(BadParams, match="not 1 mod 3"):
         construct_4m(1)
     with pytest.raises(BadParams):
         construct_6mu(2)

@@ -7,13 +7,9 @@ import itertools
 import pytest
 
 from diffcover.construct import (
-    BadIndex,
     BadParams,
     IngredientInvalid,
-    MismatchedK,
     NoMethod,
-    NotPrime,
-    TooManyColumns,
     construct_4m,
     construct_4m_general,
     construct_6mu,
@@ -29,7 +25,7 @@ from diffcover.construct import (
 )
 from diffcover.core import Form, Kind, ResidueArray
 from diffcover.tables import SEARCHED_THIRD_COLUMNS, odd_even_column
-from diffcover.verify import verify_dca, verify_dm
+from diffcover.verify import verify_dca, verify_dm, verify_hdm
 
 from conftest import mutate
 
@@ -89,7 +85,7 @@ def test_params_odd():
     assert params_odd(0) == (13, 16)
     assert params_odd(4)[0] == 133
     for bad in (2, 5, -1):
-        with pytest.raises(BadIndex):
+        with pytest.raises(BadParams, match="not 2 mod 3"):
             params_odd(bad)
 
 
@@ -108,9 +104,9 @@ def test_construct_4m():
     assert arr.column(2) == (3, 7, 6, 2, 5, 1, 0, 4)
     assert verify_dca(arr, strict=True).passed
     assert construct_4m(2).order == 40
-    with pytest.raises(BadIndex):
+    with pytest.raises(BadParams, match="not 1 mod 3, got 1"):
         construct_4m(1)
-    with pytest.raises(BadIndex):
+    with pytest.raises(BadParams, match="not 1 mod 3, got -2"):
         construct_4m(-2)
 
 
@@ -156,10 +152,12 @@ def test_dm_prime():
     assert verify_dm(dm).passed and verify_dm(dm).meta["lambda"] == 1
     assert dm.is_normalized
     assert verify_dm(dm_prime(7, 4)).passed
-    with pytest.raises(NotPrime):
+    with pytest.raises(BadParams, match="6 is not prime"):
         dm_prime(6, 4)
-    with pytest.raises(TooManyColumns):
+    with pytest.raises(BadParams, match="k = 6 exceeds p = 5"):
         dm_prime(5, 6)
+    with pytest.raises(BadParams, match="k must be positive, got 0"):
+        dm_prime(5, 0)
 
 
 def test_dm_prime_sweep():
@@ -193,6 +191,12 @@ def test_insert_hole_errors(b_reduced):
     # Broken HDM ingredient.
     with pytest.raises(IngredientInvalid):
         insert_hole(mutate(hdm, 0, 1, 3), b_reduced)
+    # A valid HDM with lambda = 2 has too many rows to take a hole.
+    doubled = search_hdm(24, 6)
+    doubled = doubled._replace(entries=doubled.entries * 2)
+    assert verify_hdm(doubled).passed and verify_hdm(doubled).meta["lambda"] == 2
+    with pytest.raises(IngredientInvalid, match="HDM ingredient must have lambda = 1"):
+        insert_hole(doubled, b_reduced)
 
 
 def test_insert_hole_mismatched_k(b_reduced):
@@ -202,7 +206,7 @@ def test_insert_hole_mismatched_k(b_reduced):
     wide = ResidueArray.from_rows(
         Kind.DCA, 6, [row + (0,) for row in b_reduced.entries], form=Form.REDUCED
     )
-    with pytest.raises(MismatchedK):
+    with pytest.raises(IngredientInvalid, match="column counts differ: 4 vs 5"):
         insert_hole(hdm, wide)  # full hole form has 5 columns vs 4
 
 
@@ -216,7 +220,7 @@ def test_hdm_product_rejects_lambda_two():
     assert verify_dm(doubled).meta["lambda"] == 2
     with pytest.raises(IngredientInvalid):
         hdm_product(hdm, doubled)
-    with pytest.raises(MismatchedK):
+    with pytest.raises(IngredientInvalid, match="column counts differ: 4 vs 3"):
         hdm_product(hdm, dm_prime(5, 3))
 
 

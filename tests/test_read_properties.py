@@ -149,10 +149,20 @@ def test_respelled_files_read_back():
                 assert read_array(text) == read_oracle.read_array(text) == arr, (spell, sep, end)
 
 
-# Each HDM and DM array one row short, in both formats: the row count
+def without_last_row(text: str) -> str:
+    """A written file with its last row dropped (an array that short
+    cannot be built, so the file is cut instead)."""
+    if text.startswith("{"):
+        obj = json.loads(text)
+        del obj["entries"][-1]
+        return json.dumps(obj) + "\n"
+    return text[: text.rindex("\n", 0, -1) + 1]
+
+
+# Each HDM and DM file one row short, in both formats: the row count
 # fits neither kind.
 SHORT_FILES = [
-    write_array(arr._replace(entries=arr.entries[:-1]), fmt=fmt)
+    without_last_row(write_array(arr, fmt=fmt))
     for arr in VALID_ARRAYS
     if arr.kind is not Kind.DCA
     for fmt in ("text", "json")

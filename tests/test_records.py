@@ -54,8 +54,6 @@ def test_mapped_errors_live_in_core():
     import diffcover.verify as verify
 
     raisers = {
-        "BadShape": [verify],
-        "BadHole": [verify, search],
         "OddOrderStrict": [verify, construct],
         "CertificationFailed": [construct],
         "NoMethod": [construct],
@@ -136,6 +134,14 @@ def test_reports_do_not_share_meta():
         (lambda: ResidueArray(Kind.DCA, 0, 0, Form.FULL, ((0,),)), ValueError, "order must be positive, got 0"),
         (lambda: ResidueArray(kind=Kind.DM, order=6, hole=2, form=Form.FULL, entries=((0,),)),
          ValueError, "DM arrays carry no hole"),
+        # Each kind's row count: n+1 rows for a full DCA, a multiple of
+        # n-h for an HDM and of n for a DM.
+        (lambda: ResidueArray(Kind.DCA, 4, 0, Form.FULL, ((0, 0), (1, 0), (2, 0), (3, 0))),
+         ValueError, "full DCA over Z_4 needs 5 rows, got 4"),
+        (lambda: ResidueArray(Kind.HDM, 6, 2, Form.FULL, ((1, 0),)),
+         ValueError, "HDM over Z_6 with hole 2 needs a multiple of 4 rows, got 1"),
+        (lambda: ResidueArray(Kind.DM, 6, 0, Form.FULL, ((0, 0),) * 7),
+         ValueError, "DM over Z_6 needs a multiple of 6 rows, got 7"),
         (lambda: LatinSquare(3, (0, 0, 1)), ValueError, "offsets are not a permutation of 0..2"),
         (lambda: search_third_column(14, node_budget=0), ValueError, "node budget must be positive, got 0"),
         (lambda: search_third_column(14, result_limit=0), ValueError, "result limit must be positive, got 0"),

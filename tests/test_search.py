@@ -16,7 +16,7 @@ from diffcover.search import (
     search_third_column,
 )
 from diffcover.tables import odd_even_column
-from diffcover.verify import BadHole, verify_dca, verify_hdm
+from diffcover.verify import verify_dca, verify_hdm
 
 from conftest import B_REDUCED_COLUMNS
 from search_oracle import OrderTooLarge, enumerate_third_columns
@@ -124,9 +124,9 @@ def test_search_hdm_budget():
 
 
 def test_search_hdm_bad_hole():
-    with pytest.raises(BadHole):
+    with pytest.raises(ValueError, match="hole 3 must divide order 10"):
         search_hdm(10, 3)
-    with pytest.raises(BadHole):
+    with pytest.raises(ValueError, match="hole 10 must divide order 10"):
         search_hdm(10, 10)
 
 

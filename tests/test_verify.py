@@ -8,13 +8,7 @@ import pytest
 
 from diffcover.construct import dm_prime
 from diffcover.core import Kind, ResidueArray, diff_counts
-from diffcover.verify import (
-    BadShape,
-    OddOrderStrict,
-    verify_dca,
-    verify_dm,
-    verify_hdm,
-)
+from diffcover.verify import OddOrderStrict, verify_dca, verify_dm, verify_hdm
 
 from conftest import mutate
 
@@ -52,12 +46,6 @@ def test_verify_dm_rejects_dca_structure(b_reduced):
     assert brute_force_pair_counts(as_dm, 1, 0)[3] == 2
 
 
-def test_verify_dm_bad_shape(b_full):
-    as_dm = ResidueArray.from_rows(Kind.DM, 6, b_full.entries)
-    with pytest.raises(BadShape):
-        verify_dm(as_dm)
-
-
 def test_verify_dm_kind_precondition(b_full):
     with pytest.raises(ValueError):
         verify_dm(b_full)
@@ -88,12 +76,6 @@ def test_verify_hdm_confinement_check():
     report = verify_hdm(arr)
     confined = [c for c in report.checks if c.name == "hole-entries-confined"]
     assert not confined[0].passed if confined else not report.passed
-
-
-def test_verify_hdm_bad_shape():
-    arr = ResidueArray.from_rows(Kind.HDM, 6, [(1, 0)], hole=2)
-    with pytest.raises(BadShape):
-        verify_hdm(arr)
 
 
 def test_verify_dca_strict_golden(b_full):
@@ -140,12 +122,6 @@ def test_verify_dca_odd_order_strict():
     with pytest.raises(OddOrderStrict):
         verify_dca(arr, strict=True)
     assert verify_dca(arr, strict=False).passed
-
-
-def test_verify_dca_bad_shape_strict():
-    arr = ResidueArray.from_rows(Kind.DCA, 4, [(0, 0), (1, 0), (2, 0), (3, 0)])
-    with pytest.raises(BadShape):
-        verify_dca(arr, strict=True)
 
 
 def test_verify_dca_kind_precondition():

@@ -67,8 +67,9 @@ def mutated(draw, pool: list[ResidueArray], first_col: int = 0) -> ResidueArray:
 
 @st.composite
 def random_array(draw, kind: Kind) -> ResidueArray:
-    """Random entries with a row count that fits the kind, or now and then
-    one that does not."""
+    """Random entries with a row count that fits the kind.  Now and then
+    any count is drawn: one that does not fit must be refused when the
+    array is built, and the fitting count is used instead."""
     n = draw(st.integers(2 if kind is Kind.HDM else 1, 16))
     k = draw(st.integers(1, 5))
     hole, form = 0, Form.FULL
@@ -80,11 +81,20 @@ def random_array(draw, kind: Kind) -> ResidueArray:
         count = (n - hole) * draw(st.integers(1, 2))
     else:
         count = n * draw(st.integers(1, 2))
-    if draw(st.integers(0, 9)) == 0:
-        count = draw(st.integers(1, 2 * n + 2))
     entry = st.integers(0, n - 1)
-    rows = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=count, max_size=count))
-    return ResidueArray.from_rows(kind, n, rows, hole=hole, form=form)
+
+    def rows(count: int) -> list[list[int]]:
+        return draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=count, max_size=count))
+
+    if draw(st.integers(0, 9)) == 0:
+        other = draw(st.integers(1, 2 * n + 2))
+        fits = {Kind.DCA: other == count, Kind.HDM: other % (n - hole) == 0, Kind.DM: other % n == 0}
+        if fits[kind]:
+            count = other
+        else:
+            with pytest.raises(ValueError, match=f" rows, got {other}$"):
+                ResidueArray.from_rows(kind, n, rows(other), hole=hole, form=form)
+    return ResidueArray.from_rows(kind, n, rows(count), hole=hole, form=form)
 
 
 def reduced_or_full(arr: ResidueArray, full: bool) -> ResidueArray:
