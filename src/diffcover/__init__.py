@@ -30,7 +30,6 @@ _MODULES = {
     "verify": (
         "Check",
         "VerificationReport",
-        "Witness",
         "verify_dca",
         "verify_dm",
         "verify_hdm",
@@ -52,11 +51,8 @@ _MODULES = {
         "spectrum_report",
     ),
     "latin": (
-        "BadOrdering",
         "Classification",
         "LatinSquare",
-        "OddOrder",
-        "OrderMismatch",
         "check_row_complete",
         "classify_pair",
         "latin_from_dca",

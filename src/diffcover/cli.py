@@ -101,7 +101,7 @@ def _report_lines(report: VerificationReport) -> str:
         if check.witness is not None:
             import json
 
-            line += f" {json.dumps(check.witness.to_obj())}"
+            line += f" {json.dumps(check.witness)}"
         lines.append(line)
     lines.append(f"verdict: {report.verdict}")
     return "\n".join(lines) + "\n"
@@ -198,8 +198,7 @@ def cmd_latin(args: argparse.Namespace) -> int:
         raise ValueError(f"latin derivation needs a DCA, got {arr.kind.value}")
     report = verify_dca(arr, strict=True)
     if not report.passed:
-        print(f"error: input fails strict verification: {report.to_json()}", file=sys.stderr)
-        return EXIT_VERIFY
+        raise CertificationFailed(f"input fails strict verification: {report.to_json()}")
     reduced = to_reduced(arr) if arr.form is Form.FULL else arr
     if args.square == "all":
         indices = list(range(reduced.columns))
@@ -257,7 +256,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     # Element by element, the same bytes as json.dumps of the whole list.
     write("[")
     for i, e in enumerate(entries):
-        write((", " if i else "") + json.dumps(e.to_obj()))
+        write((", " if i else "") + json.dumps(e._asdict()))
     write("]\n")
     return EXIT_OK
 

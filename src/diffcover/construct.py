@@ -327,14 +327,6 @@ class SpectrumEntry(NamedTuple):
     status: str  # "internal", "covered-externally" or "open"
     source: str
 
-    def to_obj(self) -> dict[str, object]:
-        return {
-            "order": self.order,
-            "constructible_by": list(self.constructible_by),
-            "status": self.status,
-            "source": self.source,
-        }
-
 
 def spectrum_report(lo: int, hi: int) -> Iterator[SpectrumEntry]:
     """Spectrum table for even orders lo..hi (bounds even, lo >= 6).

@@ -46,7 +46,8 @@ class OddOrderStrict(DesignError):
 
 
 class CertificationFailed(DesignError):
-    """An array about to be returned or emitted failed its verification."""
+    """An array about to be returned, emitted or derived from failed its
+    verification."""
 
 
 class Record:
@@ -259,9 +260,13 @@ def _build(
     except (ValueError, TypeError) as exc:
         raise ParseError(str(exc)) from exc
     # The array checks the row count of its kind; only a header carries
-    # lambda, so its consistency is checked here.
-    if lam is not None and kind is Kind.DM and arr.rows != lam * n:
-        raise ParseError(f"lambda={lam} inconsistent with {arr.rows} rows over Z_{n}")
+    # lambda, rows/(n-h) of a DM or HDM, so it is checked here.
+    if lam is not None:
+        if kind is Kind.DCA:
+            raise ParseError("a DCA header carries no lambda")
+        if arr.rows != lam * (n - h):
+            hole = f" with hole {h}" if kind is Kind.HDM else ""
+            raise ParseError(f"lambda={lam} inconsistent with {arr.rows} rows over Z_{n}{hole}")
     return arr
 
 

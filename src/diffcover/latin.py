@@ -14,20 +14,8 @@ from enum import Enum
 from itertools import accumulate
 from typing import NamedTuple
 
-from .core import DesignError, Form, Kind, Record, ResidueArray, diff_counts
-from .verify import Check, VerificationReport, Witness
-
-
-class OrderMismatch(DesignError):
-    """Operation requires Latin squares of equal order."""
-
-
-class BadOrdering(DesignError):
-    """Column ordering is not a permutation of the column indices."""
-
-
-class OddOrder(DesignError):
-    """No zig-zag ordering with all-distinct differences exists."""
+from .core import Form, Kind, Record, ResidueArray, diff_counts
+from .verify import Check, VerificationReport
 
 
 def _is_permutation(seq, n: int) -> bool:
@@ -84,7 +72,7 @@ def classify_pair(a: LatinSquare, b: LatinSquare) -> Classification:
     the offset differences b_i - a_i, the same counts for every x.
     """
     if a.order != b.order:
-        raise OrderMismatch(f"orders differ: {a.order} vs {b.order}")
+        raise ValueError(f"orders differ: {a.order} vs {b.order}")
     n = a.order
     counts = diff_counts(b.offsets, a.offsets, n)
     ones = counts.count(1)
@@ -103,7 +91,7 @@ def williams_order(n: int) -> list[int]:
     successive differences exhaust the nonzero residues; defined for even
     n only."""
     if n % 2:
-        raise OddOrder(f"order must be even, got {n}")
+        raise ValueError(f"order must be even, got {n}")
     if n < 2:
         raise ValueError(f"order must be at least 2, got {n}")
     out = [0]
@@ -114,22 +102,18 @@ def williams_order(n: int) -> list[int]:
     return out
 
 
-def check_row_complete(
-    square: LatinSquare, ordering: list[int] | None = None
-) -> VerificationReport:
-    """Pass iff, after permuting columns by ``ordering`` (identity when
-    omitted), horizontally adjacent cells over all rows cover every
-    ordered pair of distinct symbols exactly once.
+def check_row_complete(square: LatinSquare, ordering: list[int]) -> VerificationReport:
+    """Pass iff, after permuting columns by ``ordering``, horizontally
+    adjacent cells over all rows cover every ordered pair of distinct
+    symbols exactly once.
 
     Adjacent columns p, q of the cyclic square cover the n pairs
     (x, x + q - p), one per row, so this holds iff the successive
     differences of the ordering are distinct.
     """
     n = square.order
-    if ordering is None:
-        ordering = list(range(n))
-    elif not _is_permutation(ordering, n):
-        raise BadOrdering("ordering must be a permutation of the column indices")
+    if not _is_permutation(ordering, n):
+        raise ValueError("ordering must be a permutation of the column indices")
     seen = bytearray(n)
     for j in range(1, n):
         d = (ordering[j] - ordering[j - 1]) % n
@@ -137,11 +121,11 @@ def check_row_complete(
             # Row 0 covers this pair here, and the earlier column pair
             # with difference d covers it in another row.
             c = square.offsets[0]
-            pair = ((c + ordering[j - 1]) % n, (c + ordering[j]) % n)
-            witness = Witness(pair=pair, expected=1, actual=2)
-            return VerificationReport((Check("row-complete", False, witness),))
+            pair = [(c + ordering[j - 1]) % n, (c + ordering[j]) % n]
+            witness = {"pair": pair, "expected": 1, "actual": 2}
+            return VerificationReport((Check("row-complete", witness),), {})
         seen[d] = 1
-    return VerificationReport((Check("row-complete", True),))
+    return VerificationReport((Check("row-complete"),), {})
 
 
 def write_latin(square: LatinSquare) -> str:

@@ -20,48 +20,23 @@ from typing import Iterable, NamedTuple
 from .core import Form, Kind, OddOrderStrict, ResidueArray, diff_counts
 
 
-class Witness(NamedTuple):
-    """Location of a violation: column pair or single column, offending
-    residue, and the expected/actual multiplicities."""
-
-    pair: tuple[int, int] | None = None
-    column: int | None = None
-    residue: int | None = None
-    expected: int | str | None = None
-    actual: int | str | None = None
-
-    def to_obj(self) -> dict[str, object]:
-        obj: dict[str, object] = {}
-        if self.pair is not None:
-            obj["pair"] = list(self.pair)
-        if self.column is not None:
-            obj["column"] = self.column
-        if self.residue is not None:
-            obj["residue"] = self.residue
-        if self.expected is not None:
-            obj["expected"] = self.expected
-        if self.actual is not None:
-            obj["actual"] = self.actual
-        return obj
-
-
 class Check(NamedTuple):
+    """One named property of a report.  It holds iff it has no witness:
+    the location of a violation, as the dict printed for it (``pair``,
+    ``column``, ``residue``, ``expected``, ``actual``; only the keys that
+    apply, in that order)."""
+
     name: str
-    passed: bool
-    witness: Witness | None = None
+    witness: dict[str, object] | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.witness is None
 
 
-class _VerificationReport(NamedTuple):
+class VerificationReport(NamedTuple):
     checks: tuple[Check, ...]
     meta: dict
-
-
-class VerificationReport(_VerificationReport):
-    __slots__ = ()
-
-    def __new__(cls, checks: tuple[Check, ...], meta: dict | None = None) -> VerificationReport:
-        # Each report gets a dict of its own when none is given.
-        return super().__new__(cls, checks, {} if meta is None else meta)
 
     @property
     def passed(self) -> bool:
@@ -71,24 +46,10 @@ class VerificationReport(_VerificationReport):
     def verdict(self) -> str:
         return "pass" if self.passed else "fail"
 
-    @property
-    def witness(self) -> Witness | None:
-        for c in self.checks:
-            if not c.passed:
-                return c.witness
-        return None
-
     def to_obj(self) -> dict[str, object]:
         return {
             "verdict": self.verdict,
-            "checks": [
-                {
-                    "name": c.name,
-                    "pass": c.passed,
-                    "witness": c.witness.to_obj() if c.witness else None,
-                }
-                for c in self.checks
-            ],
+            "checks": [{"name": c.name, "pass": c.passed, "witness": c.witness} for c in self.checks],
             "meta": self.meta,
         }
 
@@ -120,8 +81,9 @@ def _balance_check(
             continue
         for d in residues:
             if counts[d] != expected[d]:
-                return Check(name, False, Witness(pair=pair, residue=d, expected=expected[d], actual=counts[d]))
-    return Check(name, True)
+                witness = {"pair": list(pair), "residue": d, "expected": expected[d], "actual": counts[d]}
+                return Check(name, witness)
+    return Check(name)
 
 
 def verify_dm(a: ResidueArray) -> VerificationReport:
@@ -157,15 +119,12 @@ def verify_hdm(a: ResidueArray) -> VerificationReport:
     if not any(cols[-1]):
         # With an all-zero last column, hole residues may not occur as
         # entries of the remaining columns (so no row carries two zeros).
-        confined = Check("hole-entries-confined", True)
+        confined = Check("hole-entries-confined")
         for j, col in enumerate(cols[:-1]):
             hits = [v for v in col if v in hole]
             if hits:
-                confined = Check(
-                    "hole-entries-confined",
-                    False,
-                    Witness(column=j, residue=min(hits), expected=0, actual=len(hits)),
-                )
+                witness = {"column": j, "residue": min(hits), "expected": 0, "actual": len(hits)}
+                confined = Check("hole-entries-confined", witness)
                 break
         checks.append(confined)
     return VerificationReport(tuple(checks), meta={"lambda": lam})
@@ -190,10 +149,11 @@ def verify_dca(a: ResidueArray, strict: bool = False) -> VerificationReport:
         cols.append((0,) * len(cols[0]))
     rows = len(cols[0])
     pairs = _pair_counts(cols, n)
-    coverage = Check("coverage", True)
+    coverage = Check("coverage")
     for pair, counts in pairs.items():
         if 0 in counts:
-            coverage = Check("coverage", False, Witness(pair=pair, residue=counts.index(0), expected=1, actual=0))
+            witness = {"pair": list(pair), "residue": counts.index(0), "expected": 1, "actual": 0}
+            coverage = Check("coverage", witness)
             break
     checks = [coverage]
     min_coverage = min(map(min, pairs.values())) if pairs else None
@@ -201,15 +161,12 @@ def verify_dca(a: ResidueArray, strict: bool = False) -> VerificationReport:
     if strict:
         if n % 2:
             raise OddOrderStrict(f"strict checks need even order, got {n}")
-        zero_twice = Check("zero-twice-per-column", True)
+        zero_twice = Check("zero-twice-per-column")
         for j, col in enumerate(cols):
             zeros = col.count(0)
             if zeros < 2:
-                zero_twice = Check(
-                    "zero-twice-per-column",
-                    False,
-                    Witness(column=j, residue=0, expected=2, actual=zeros),
-                )
+                witness = {"column": j, "residue": 0, "expected": 2, "actual": zeros}
+                zero_twice = Check("zero-twice-per-column", witness)
                 break
         checks.append(zero_twice)
         # The profile covers the first n rows of the pairs off the last

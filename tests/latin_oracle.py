@@ -14,8 +14,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from diffcover.latin import Classification, OrderMismatch, classify_pair
-from diffcover.verify import Check, VerificationReport, Witness
+from diffcover.latin import Classification, classify_pair
+from diffcover.verify import Check, VerificationReport
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ def superimpose(a, b) -> PairProfile:
     """Count, for every ordered symbol pair (x, y), the cells where the
     first square shows x and the second shows y."""
     if a.order != b.order:
-        raise OrderMismatch(f"orders differ: {a.order} vs {b.order}")
+        raise ValueError(f"orders differ: {a.order} vs {b.order}")
     n = a.order
     flat = [0] * (n * n)
     for ra, rb in zip(a.grid, b.grid):
@@ -103,11 +103,11 @@ def check_row_complete(square, ordering) -> VerificationReport:
             cur = row[ordering[j]]
             idx = prev * n + cur
             if seen[idx]:
-                witness = Witness(pair=(prev, cur), expected=1, actual=2)
-                return VerificationReport((Check("row-complete", False, witness),))
+                witness = {"pair": [prev, cur], "expected": 1, "actual": 2}
+                return VerificationReport((Check("row-complete", witness),), {})
             seen[idx] = 1
             prev = cur
-    return VerificationReport((Check("row-complete", True),))
+    return VerificationReport((Check("row-complete"),), {})
 
 
 def mnols_set_check(squares) -> VerificationReport:
@@ -117,18 +117,12 @@ def mnols_set_check(squares) -> VerificationReport:
         raise ValueError(f"need at least two squares, got {len(squares)}")
     orders = {sq.order for sq in squares}
     if len(orders) > 1:
-        raise OrderMismatch(f"orders differ: {sorted(orders)}")
+        raise ValueError(f"orders differ: {sorted(orders)}")
     checks = []
     for s in range(1, len(squares)):
         for t in range(s):
             label = classify_pair(squares[s], squares[t])
-            ok = label is Classification.NEARLY_ORTHOGONAL
-            witness = None
-            if not ok:
-                witness = Witness(
-                    pair=(s, t),
-                    expected=Classification.NEARLY_ORTHOGONAL.value,
-                    actual=label.value,
-                )
-            checks.append(Check(f"pair({s},{t})", ok, witness))
-    return VerificationReport(tuple(checks))
+            want = Classification.NEARLY_ORTHOGONAL
+            witness = None if label is want else {"pair": [s, t], "expected": want.value, "actual": label.value}
+            checks.append(Check(f"pair({s},{t})", witness))
+    return VerificationReport(tuple(checks), {})

@@ -47,9 +47,13 @@ def _build(fields: dict, rows: Iterable[Iterable], number: Callable[[object], in
         want = n + 1 if form is Form.FULL else n
         if count != want:
             raise ParseError(f"{form.value} DCA over Z_{n} needs {want} rows, got {count}")
+        if lam is not None:
+            raise ParseError("a DCA header carries no lambda")
     elif kind is Kind.HDM:
         if count % (n - h):
             raise ParseError(f"HDM over Z_{n} with hole {h} needs a multiple of {n - h} rows, got {count}")
+        if lam is not None and count != lam * (n - h):
+            raise ParseError(f"lambda={lam} inconsistent with {count} rows over Z_{n} with hole {h}")
     else:
         if count % n:
             raise ParseError(f"DM over Z_{n} needs a multiple of {n} rows, got {count}")

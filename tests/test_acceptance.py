@@ -269,17 +269,18 @@ def _witness_is_correct(bad: ResidueArray, report) -> bool:
     if w is None:
         return False
     if failing.name == "coverage":
-        counts = Counter((row[w.pair[0]] - row[w.pair[1]]) % bad.order for row in bad.entries)
-        return counts.get(w.residue, 0) == w.actual == 0
+        j, jp = w["pair"]
+        counts = Counter((row[j] - row[jp]) % bad.order for row in bad.entries)
+        return counts.get(w["residue"], 0) == w["actual"] == 0
     if failing.name == "zero-twice-per-column":
-        zeros = sum(1 for row in bad.entries if row[w.column] == 0)
-        return zeros == w.actual < 2
+        zeros = sum(1 for row in bad.entries if row[w["column"]] == 0)
+        return zeros == w["actual"] < 2
     if failing.name == "difference-profile":
-        counts = Counter(
-            (row[w.pair[0]] - row[w.pair[1]]) % bad.order for row in bad.entries[:-1]
-        )
-        want = 0 if w.residue == 0 else 2 if w.residue == bad.order // 2 else 1
-        return counts.get(w.residue, 0) == w.actual != want == w.expected
+        j, jp = w["pair"]
+        counts = Counter((row[j] - row[jp]) % bad.order for row in bad.entries[:-1])
+        d = w["residue"]
+        want = 0 if d == 0 else 2 if d == bad.order // 2 else 1
+        return counts.get(d, 0) == w["actual"] != want == w["expected"]
     return False
 
 
@@ -314,7 +315,7 @@ def test_criterion_09_negative_controls():
 
 def test_criterion_10_spectrum_report():
     t0 = time.perf_counter()
-    live = [e.to_obj() for e in spectrum_report(6, 360)]
+    live = json.loads(json.dumps([e._asdict() for e in spectrum_report(6, 360)]))
     expected = json.loads((DATA_DIR / "spectrum_6_360.json").read_text())
     assert live == expected
     by_order = {e["order"]: e for e in live}

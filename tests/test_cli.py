@@ -125,6 +125,166 @@ def test_verify_hdm_file(tmp_path, capsys):
     assert failed and all(json.loads(line.split(": fail ", 1)[1]) for line in failed)
 
 
+# Mutated files whose reports hold a witness of every check.
+WITNESS_FILES = {
+    # The golden DCA with entry (0, 0) set to 1: every check fails.
+    "dca-all": "kind=DCA k=4 n=6 h=0 form=full\n1 1 3 0\n1 3 0 0\n2 5 4 0\n3 0 1 0\n4 2 5 0\n5 4 2 0\n0 0 0 0\n",
+    # The golden DCA with entry (6, 0) set to 1: the profile still holds.
+    "dca-zeros": "kind=DCA k=4 n=6 h=0 form=full\n0 1 3 0\n1 3 0 0\n2 5 4 0\n3 0 1 0\n4 2 5 0\n5 4 2 0\n1 0 0 0\n",
+    # search_hdm(10, 2) with entry (0, 0) set to 5, a hole residue.
+    "hdm-all": (
+        "kind=HDM k=4 n=10 h=2 form=full\n"
+        "5 2 3 0\n2 4 6 0\n3 9 2 0\n4 7 1 0\n6 3 9 0\n7 1 8 0\n8 6 4 0\n9 8 7 0\n"
+    ),
+    # search_hdm(10, 2) with entry (0, 0) set to 4: only the balance fails.
+    "hdm-balance": (
+        "kind=HDM k=4 n=10 h=2 form=full\n"
+        "4 2 3 0\n2 4 6 0\n3 9 2 0\n4 7 1 0\n6 3 9 0\n7 1 8 0\n8 6 4 0\n9 8 7 0\n"
+    ),
+    # dm_prime(5, 3) with entry (0, 1) set to 3.
+    "dm": "kind=DM k=3 n=5 h=0 form=full lambda=1\n1 3 0\n2 4 0\n3 1 0\n4 3 0\n0 0 0\n",
+}
+
+DCA_ALL_STRICT_JSON = (
+    '{"verdict": "fail", "checks": ['
+    '{"name": "coverage", "pass": false, "witness": {"pair": [1, 0], "residue": 1, "expected": 1, "actual": 0}}, '
+    '{"name": "zero-twice-per-column", "pass": false, '
+    '"witness": {"column": 0, "residue": 0, "expected": 2, "actual": 1}}, '
+    '{"name": "difference-profile", "pass": false, '
+    '"witness": {"pair": [1, 0], "residue": 0, "expected": 0, "actual": 1}}'
+    '], "meta": {"rows": 7, "min_coverage": 0}}\n'
+)
+
+# ``--strict`` adds two checks on a DCA and changes nothing on an HDM or
+# a DM, so those pins hold in both modes.
+BOTH_MODES = ([], ["--strict"])
+
+# (file, the flag lists, the exact stdout as text, the exact stdout as JSON)
+PINNED_VERIFY = [
+    (
+        "dca-all",
+        [[]],
+        'coverage: fail {"pair": [1, 0], "residue": 1, "expected": 1, "actual": 0}\nverdict: fail\n',
+        '{"verdict": "fail", "checks": ['
+        '{"name": "coverage", "pass": false, "witness": {"pair": [1, 0], "residue": 1, "expected": 1, "actual": 0}}'
+        '], "meta": {"rows": 7, "min_coverage": 0}}\n',
+    ),
+    (
+        "dca-all",
+        [["--strict"]],
+        'coverage: fail {"pair": [1, 0], "residue": 1, "expected": 1, "actual": 0}\n'
+        'zero-twice-per-column: fail {"column": 0, "residue": 0, "expected": 2, "actual": 1}\n'
+        'difference-profile: fail {"pair": [1, 0], "residue": 0, "expected": 0, "actual": 1}\n'
+        "verdict: fail\n",
+        DCA_ALL_STRICT_JSON,
+    ),
+    (
+        "dca-zeros",
+        [[]],
+        'coverage: fail {"pair": [1, 0], "residue": 0, "expected": 1, "actual": 0}\nverdict: fail\n',
+        '{"verdict": "fail", "checks": ['
+        '{"name": "coverage", "pass": false, "witness": {"pair": [1, 0], "residue": 0, "expected": 1, "actual": 0}}'
+        '], "meta": {"rows": 7, "min_coverage": 0}}\n',
+    ),
+    (
+        "dca-zeros",
+        [["--strict"]],
+        'coverage: fail {"pair": [1, 0], "residue": 0, "expected": 1, "actual": 0}\n'
+        'zero-twice-per-column: fail {"column": 0, "residue": 0, "expected": 2, "actual": 1}\n'
+        "difference-profile: pass\n"
+        "verdict: fail\n",
+        '{"verdict": "fail", "checks": ['
+        '{"name": "coverage", "pass": false, "witness": {"pair": [1, 0], "residue": 0, "expected": 1, "actual": 0}}, '
+        '{"name": "zero-twice-per-column", "pass": false, '
+        '"witness": {"column": 0, "residue": 0, "expected": 2, "actual": 1}}, '
+        '{"name": "difference-profile", "pass": true, "witness": null}'
+        '], "meta": {"rows": 7, "min_coverage": 0}}\n',
+    ),
+    (
+        "hdm-all",
+        BOTH_MODES,
+        'hole-avoidance: fail {"pair": [3, 0], "residue": 5, "expected": 0, "actual": 1}\n'
+        'difference-balance: fail {"pair": [1, 0], "residue": 1, "expected": 1, "actual": 0}\n'
+        'hole-entries-confined: fail {"column": 0, "residue": 5, "expected": 0, "actual": 1}\n'
+        "verdict: fail\n",
+        '{"verdict": "fail", "checks": ['
+        '{"name": "hole-avoidance", "pass": false, '
+        '"witness": {"pair": [3, 0], "residue": 5, "expected": 0, "actual": 1}}, '
+        '{"name": "difference-balance", "pass": false, '
+        '"witness": {"pair": [1, 0], "residue": 1, "expected": 1, "actual": 0}}, '
+        '{"name": "hole-entries-confined", "pass": false, '
+        '"witness": {"column": 0, "residue": 5, "expected": 0, "actual": 1}}'
+        '], "meta": {"lambda": 1}}\n',
+    ),
+    (
+        "hdm-balance",
+        BOTH_MODES,
+        "hole-avoidance: pass\n"
+        'difference-balance: fail {"pair": [1, 0], "residue": 1, "expected": 1, "actual": 0}\n'
+        "hole-entries-confined: pass\n"
+        "verdict: fail\n",
+        '{"verdict": "fail", "checks": ['
+        '{"name": "hole-avoidance", "pass": true, "witness": null}, '
+        '{"name": "difference-balance", "pass": false, '
+        '"witness": {"pair": [1, 0], "residue": 1, "expected": 1, "actual": 0}}, '
+        '{"name": "hole-entries-confined", "pass": true, "witness": null}'
+        '], "meta": {"lambda": 1}}\n',
+    ),
+    (
+        "dm",
+        BOTH_MODES,
+        'difference-balance: fail {"pair": [1, 0], "residue": 1, "expected": 1, "actual": 0}\nverdict: fail\n',
+        '{"verdict": "fail", "checks": ['
+        '{"name": "difference-balance", "pass": false, '
+        '"witness": {"pair": [1, 0], "residue": 1, "expected": 1, "actual": 0}}'
+        '], "meta": {"lambda": 1}}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "name, modes, text, js",
+    PINNED_VERIFY,
+    ids=[f"{name}{'-strict' if modes == [['--strict']] else ''}" for name, modes, _, _ in PINNED_VERIFY],
+)
+def test_verify_stdout_bytes(name, modes, text, js, tmp_path, capsys):
+    # The exact bytes of every witness: its keys, their order and spacing.
+    path = tmp_path / f"{name}.txt"
+    path.write_text(WITNESS_FILES[name])
+    for flags in modes:
+        assert main(["verify", str(path), *flags]) == 1, flags
+        assert capsys.readouterr() == (text, ""), flags
+        assert main(["verify", str(path), *flags, "--format", "json"]) == 1, flags
+        assert capsys.readouterr() == (js, ""), flags
+
+
+def test_latin_failing_input_stderr_bytes(tmp_path, capsys):
+    path = tmp_path / "dca-all.txt"
+    path.write_text(WITNESS_FILES["dca-all"])
+    assert main(["latin", str(path)]) == 1
+    assert capsys.readouterr() == ("", "error: input fails strict verification: " + DCA_ALL_STRICT_JSON)
+
+
+def test_verify_checks_the_lambda_header(tmp_path, capsys):
+    # An HDM's lambda is rows/(n-h); a DCA has none to declare.
+    hdm = write_array(search_hdm(10, 2)).replace("form=full", "form=full lambda={}", 1)
+    reduced = write_array(construct_odd(13, 16)).replace("form=reduced", "form=reduced lambda=7", 1)
+    path = tmp_path / "a.txt"
+    for text, code, err in [
+        (hdm.format(1), 0, ""),
+        (hdm.format(5), 2, "error: lambda=5 inconsistent with 8 rows over Z_10 with hole 2\n"),
+        (B_TEXT.replace("form=full", "form=full lambda=1"), 2, "error: a DCA header carries no lambda\n"),
+        (reduced, 2, "error: a DCA header carries no lambda\n"),
+    ]:
+        path.write_text(text)
+        assert main(["verify", str(path)]) == code, text
+        assert capsys.readouterr().err == err, text
+    obj = json.loads(write_array(read_array(B_TEXT), fmt="json"))
+    path.write_text(json.dumps({**obj, "lambda": 1}))
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == "error: a DCA header carries no lambda\n"
+
+
 def test_verify_truncated(tmp_path, capsys):
     path = tmp_path / "broken.txt"
     path.write_text("\n".join(B_TEXT.splitlines()[:-1]) + "\n")

@@ -116,6 +116,12 @@ def json_variants(draw) -> str:
 
 @settings(max_examples=300)
 @given(file_texts)
+# A lambda header on each kind: refused on a DCA, checked against
+# rows/(n-h) on an HDM.
+@example("kind=DCA k=1 n=2 h=0 form=full lambda=1\n0\n0\n0\n")
+@example('{"kind": "DCA", "k": 1, "n": 2, "h": 0, "form": "reduced", "lambda": 7, "entries": [[0], [1]]}')
+@example("kind=HDM k=2 n=4 h=2 form=full lambda=1\n1 0\n3 0\n")
+@example("kind=HDM k=2 n=4 h=2 form=full lambda=2\n1 0\n3 0\n")
 def test_read_array_matches_oracle_on_contract_files(text):
     assert_agrees(text)
 

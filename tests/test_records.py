@@ -20,7 +20,7 @@ from diffcover.construct import (
 from diffcover.core import Form, Kind, ResidueArray
 from diffcover.latin import LatinSquare, check_row_complete
 from diffcover.search import search_hdm, search_third_column
-from diffcover.verify import Check, VerificationReport, Witness, verify_dca
+from diffcover.verify import Check, VerificationReport, verify_dca
 
 
 def test_every_public_name_resolves():
@@ -74,9 +74,8 @@ def test_mapped_errors_live_in_core():
 RECORDS = [
     (ResidueArray, {"kind": Kind.DCA, "order": 6, "hole": 0, "form": Form.REDUCED,
                     "entries": ((0, 1, 3), (1, 3, 0), (2, 5, 4), (3, 0, 1), (4, 2, 5), (5, 4, 2))}),
-    (Witness, {"pair": (1, 0), "column": None, "residue": 2, "expected": 1, "actual": 0}),
-    (Check, {"name": "coverage", "passed": False, "witness": Witness(column=1)}),
-    (VerificationReport, {"checks": (Check("coverage", True),), "meta": {"rows": 7}}),
+    (Check, {"name": "coverage", "witness": {"pair": [1, 0], "residue": 2, "expected": 1, "actual": 0}}),
+    (VerificationReport, {"checks": (Check("coverage"),), "meta": {"rows": 7}}),
     (LatinSquare, {"order": 3, "offsets": (0, 2, 1)}),
     (SpectrumEntry, {"order": 6, "constructible_by": ("table",), "status": "internal",
                      "source": "table"}),
@@ -95,8 +94,8 @@ def test_record_behaviour(cls, fields):
         setattr(record, first, fields[first])
     with pytest.raises(AttributeError):
         record.no_such_field = 1
-    if cls is VerificationReport:
-        # Its meta is a dict, so a report is not hashable.
+    if cls in (Check, VerificationReport):
+        # A witness and a meta are dicts, so neither record is hashable.
         with pytest.raises(TypeError):
             hash(record)
     else:
@@ -106,24 +105,26 @@ def test_record_behaviour(cls, fields):
 def test_record_equality():
     assert LatinSquare(3, (0, 2, 1)) == LatinSquare(order=3, offsets=(0, 2, 1))
     assert LatinSquare(3, (0, 2, 1)) != LatinSquare(3, (1, 0, 2))
-    assert Witness(pair=(1, 0)) != Witness(pair=(2, 0))
+    assert Check("coverage", {"column": 1}) != Check("coverage", {"column": 2})
 
 
 def test_record_defaults():
-    assert Witness() == Witness(None, None, None, None, None)
-    assert Check("x", True).witness is None
-    assert VerificationReport(()).meta == {}
+    # A check holds exactly when it has no witness.
+    assert Check("x") == Check("x", None) and Check("x").passed
+    assert not Check("x", {"column": 0}).passed
+    with pytest.raises(TypeError):
+        VerificationReport(())
 
 
 def test_reports_do_not_share_meta():
-    assert VerificationReport(()).meta is not VerificationReport(()).meta
     square = LatinSquare(4, (0, 1, 2, 3))
-    first, second = check_row_complete(square), check_row_complete(square)
+    identity = [0, 1, 2, 3]
+    first, second = check_row_complete(square, identity), check_row_complete(square, identity)
     assert first.meta == {} and first.meta is not second.meta
     arr, _ = construct_by_method(26)
     assert verify_dca(arr).meta is not verify_dca(arr).meta
     first.meta["touched"] = True
-    assert second.meta == {} and VerificationReport(()).meta == {}
+    assert second.meta == {}
 
 
 @pytest.mark.parametrize(

@@ -40,9 +40,8 @@ def test_verify_dm_rejects_dca_structure(b_reduced):
     as_dm = ResidueArray.from_rows(Kind.DM, 6, b_reduced.entries)
     report = verify_dm(as_dm)
     assert not report.passed
-    witness = report.witness
-    assert witness.pair == (1, 0)
-    assert witness.residue == 0 and witness.expected == 1 and witness.actual == 0
+    witness = report.checks[0].witness
+    assert witness == {"pair": [1, 0], "residue": 0, "expected": 1, "actual": 0}
     assert brute_force_pair_counts(as_dm, 1, 0)[3] == 2
 
 
@@ -56,9 +55,9 @@ def test_verify_hdm_rejects_hole_difference():
     arr = ResidueArray.from_rows(Kind.HDM, 4, [(1, 3), (3, 1)], hole=2)
     report = verify_hdm(arr)
     assert not report.passed
-    witness = report.witness
-    assert witness.pair == (1, 0) and witness.residue == 2
-    assert witness.expected == 0 and witness.actual == 2
+    hole = report.checks[0]
+    assert hole.name == "hole-avoidance"
+    assert hole.witness == {"pair": [1, 0], "residue": 2, "expected": 0, "actual": 2}
 
 
 def test_verify_hdm_accepts_valid():
@@ -103,9 +102,7 @@ def test_verify_dca_witness_on_mutation(b_full):
     assert not report.passed
     failing = [c for c in report.checks if not c.passed]
     profile = [c for c in failing if c.name == "difference-profile"][0]
-    assert profile.witness.pair == (1, 0)
-    assert profile.witness.residue == 1
-    assert profile.witness.expected == 1 and profile.witness.actual == 0
+    assert profile.witness == {"pair": [1, 0], "residue": 1, "expected": 1, "actual": 0}
 
 
 def test_verify_dca_coverage_only_mode(b_full):
