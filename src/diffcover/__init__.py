@@ -36,7 +36,6 @@ _MODULES = {
     ),
     "construct": (
         "BadParams",
-        "IngredientInvalid",
         "SpectrumEntry",
         "construct_4m",
         "construct_4m_general",

@@ -32,9 +32,10 @@ from .core import (
 )
 
 if TYPE_CHECKING:
-    from .construct import construct_by_method, dca_from_third_column, spectrum_report
+    from .construct import construct_by_method, spectrum_report
     from .latin import check_row_complete, classify_pair, latin_from_dca, williams_order, write_latin
     from .search import search_hdm, search_third_column
+    from .tables import dca_from_third_column
     from .verify import VerificationReport, verify_dca, verify_dm, verify_hdm
 
 # The layer functions the commands call, by the module that defines them.
@@ -44,10 +45,11 @@ if TYPE_CHECKING:
 # replace them beforehand; a name bound already, such as such a
 # replacement, is kept.
 _DEFERRED = {
-    "construct": ("construct_by_method", "dca_from_third_column", "spectrum_report"),
+    "construct": ("construct_by_method", "spectrum_report"),
     "verify": ("verify_dca", "verify_dm", "verify_hdm"),
     "latin": ("check_row_complete", "classify_pair", "latin_from_dca", "williams_order", "write_latin"),
     "search": ("search_hdm", "search_third_column"),
+    "tables": ("dca_from_third_column",),
 }
 
 
@@ -115,8 +117,10 @@ def _verify_for_kind(arr: ResidueArray, strict: bool) -> VerificationReport:
     return verify_dca(arr, strict=strict)
 
 
-def _emit_array(arr: ResidueArray, report: VerificationReport, fmt: str, out: str = "-") -> None:
-    # Emission of an unverified array is a bug, not a user error.
+def _emit_array(arr: ResidueArray, fmt: str, out: str = "-") -> None:
+    # Each array is verified by its kind; emitting a failing one is a bug.
+    _bind("verify")
+    report = _verify_for_kind(arr, strict=True)
     if not report.passed:
         raise CertificationFailed(f"attempted to emit a failing array: {report.to_json()}")
     payload = write_array(arr, fmt=fmt)
@@ -128,11 +132,11 @@ def _emit_array(arr: ResidueArray, report: VerificationReport, fmt: str, out: st
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    _bind("construct", "verify")
+    _bind("construct")
     arr, tag = construct_by_method(args.order, args.method)
-    report = verify_dca(arr, strict=True)
-    _emit_array(arr, report, args.format, args.out)
-    summary = f"method={tag} verified={report.verdict}"
+    _emit_array(arr, args.format, args.out)
+    # _emit_array raises on any other verdict.
+    summary = f"method={tag} verified=pass"
     # The summary goes to whichever stream the array does not.
     print(summary, file=sys.stderr if args.out == "-" else sys.stdout)
     return EXIT_OK
@@ -159,7 +163,7 @@ def _status_stream(stream: TextIO):
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    _bind("search", "verify")
+    _bind("search")
     status = _status_stream(sys.stderr)
     if args.hdm is not None:
         if args.limit is not None:
@@ -171,7 +175,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         arr = search_hdm(
             n, h, node_budget=args.budget, status_interval=args.status_interval, status=status
         )
-        _emit_array(arr, verify_hdm(arr), args.format)
+        _emit_array(arr, args.format)
         return EXIT_OK
     columns = search_third_column(
         args.order,
@@ -182,12 +186,11 @@ def cmd_search(args: argparse.Namespace) -> int:
     )
     if not columns:
         raise NoSolution("search space exhausted without a solution")
-    _bind("construct")
+    _bind("tables")
     for i, col2 in enumerate(columns):
-        arr = dca_from_third_column(col2)
         if i:
             sys.stdout.write("\n")
-        _emit_array(arr, verify_dca(arr, strict=True), args.format)
+        _emit_array(dca_from_third_column(col2), args.format)
     return EXIT_OK
 
 

@@ -19,12 +19,9 @@ from .core import CertificationFailed, DesignError, Form, Kind, NoMethod, OddOrd
 
 
 class BadParams(DesignError):
-    """Family or prime-DM parameters violate a gcd, congruence, range,
-    index or primality condition."""
-
-
-class IngredientInvalid(DesignError):
-    """A combinator input failed its verifier or shape requirements."""
+    """A constructor argument is unusable: family or prime-DM parameters
+    violate a gcd, congruence, range, index or primality condition, or a
+    combinator input fails its verifier or shape requirements."""
 
 
 def _reduced_dca(order: int, rows: list[tuple[int, int, int]]) -> ResidueArray:
@@ -155,22 +152,13 @@ def construct_6mu(mu: int) -> ResidueArray:
     return arr
 
 
-def dca_from_third_column(col2: tuple[int, ...]) -> ResidueArray:
-    """Reduced array whose first two columns are the ones the third-column
-    search fixes (the identity and the odd-then-even pattern) and whose
-    third column is ``col2``."""
-    n = len(col2)
-    return _reduced_dca(n, list(zip(range(n), tables.odd_even_column(n), col2)))
-
-
 def construct_from_table(order: int) -> ResidueArray:
-    """Reduced DCA(4, order+1; order) from the stored tables (order 6 and
-    the eight computer-searched orders 24..54)."""
-    if order == 6:
-        return _reduced_dca(order, list(zip(*tables.BASE_6_COLUMNS)))
-    if order in tables.SEARCHED_THIRD_COLUMNS:
-        return dca_from_third_column(tables.SEARCHED_THIRD_COLUMNS[order])
-    raise NoMethod(f"no stored table for order {order}")
+    """Reduced DCA(4, order+1; order) from the fixed column pair and the
+    stored third column of that order (6, and the eight computer-searched
+    orders 24..54)."""
+    if order not in tables.SEARCHED_THIRD_COLUMNS:
+        raise NoMethod(f"no stored table for order {order}")
+    return tables.dca_from_third_column(tables.SEARCHED_THIRD_COLUMNS[order])
 
 
 def _is_prime(p: int) -> bool:
@@ -204,7 +192,7 @@ def dm_prime(p: int, k: int) -> ResidueArray:
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
-        raise IngredientInvalid(message)
+        raise BadParams(message)
 
 
 def insert_hole(hdm: ResidueArray, dca_hole: ResidueArray) -> ResidueArray:
@@ -229,7 +217,7 @@ def insert_hole(hdm: ResidueArray, dca_hole: ResidueArray) -> ResidueArray:
     try:
         _require(verify_dca(dca_hole, strict=True).passed, "hole DCA fails strict verification")
     except OddOrderStrict as exc:
-        raise IngredientInvalid(str(exc)) from exc
+        raise BadParams(str(exc)) from exc
     _require(full_hole.is_normalized, "hole DCA must have zero last row and column")
     u = n // h
     embedded = tuple(tuple((v * u) % n for v in row) for row in full_hole.entries)
@@ -289,7 +277,8 @@ class Method(NamedTuple):
 # In priority order: automatic dispatch takes the first method that covers
 # an order.
 METHODS: tuple[Method, ...] = (
-    Method("table", lambda order: order if order in tables.TABLE_ORDERS else None, construct_from_table),
+    Method("table", lambda order: order if order in tables.SEARCHED_THIRD_COLUMNS else None,
+           construct_from_table),
     Method("odd-f", _odd_f_index, lambda i: construct_odd(*params_odd(i)), "i"),
     Method("four-m", _four_m_index, construct_4m, "k"),
     Method("six-mu", lambda order: (order - 4) // 6 if order % 12 == 10 else None, construct_6mu, "mu"),

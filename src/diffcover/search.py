@@ -60,10 +60,6 @@ def _check_depth(depth: int) -> None:
         raise ValueError(f"search needs {depth} nested calls, more than the {room} the recursion limit leaves")
 
 
-class _Budget(Exception):
-    pass
-
-
 def _doubled_bits(n: int) -> list[int]:
     """Entry d is bits d and d + n.  Indexed by a difference in (-n, n),
     Python's negative indexing reduces it mod n."""
@@ -117,7 +113,7 @@ def search_third_column(
             cand ^= b
             nodes += 1
             if nodes > node_budget:
-                raise _Budget
+                raise BudgetExhausted(f"no solution within {node_budget} nodes")
             if every and not nodes % every:
                 status({"nodes": nodes, "depth": i, "solutions": len(solutions)})
             v = b.bit_length() - 1
@@ -132,9 +128,9 @@ def search_third_column(
     avail = (full | full << n) ^ dbl[0] | spare
     try:
         dfs(0, full, avail, avail)
-    except _Budget:
+    except BudgetExhausted:
         if not solutions:
-            raise BudgetExhausted(f"no solution within {node_budget} nodes") from None
+            raise
     if status is not None:
         status({"nodes": nodes, "depth": n, "solutions": len(solutions)})
     return solutions
@@ -200,7 +196,7 @@ def search_hdm(
             bv = b.bit_length() - 1
             nodes += 1
             if nodes > node_budget:
-                raise _Budget
+                raise BudgetExhausted(f"no HDM(4,{n};{h}) within {node_budget} nodes")
             if every and not nodes % every:
                 status({"nodes": nodes, "depth": depth, "solutions": 0})
             mc = best_mc & d21 >> n - bv
@@ -210,7 +206,7 @@ def search_hdm(
                 cv = c.bit_length() - 1
                 nodes += 1
                 if nodes > node_budget:
-                    raise _Budget
+                    raise BudgetExhausted(f"no HDM(4,{n};{h}) within {node_budget} nodes")
                 if every and not nodes % every:
                     status({"nodes": nodes, "depth": depth, "solutions": 0})
                 col1[a] = bv
@@ -222,10 +218,7 @@ def search_hdm(
 
     # The allowed differences are the non-hole residues, doubled.
     avail = nonhole_mask | nonhole_mask << n
-    try:
-        found = dfs(nonhole, nonhole_mask, nonhole_mask, avail, avail, avail)
-    except _Budget:
-        raise BudgetExhausted(f"no HDM(4,{n};{h}) within {node_budget} nodes") from None
+    found = dfs(nonhole, nonhole_mask, nonhole_mask, avail, avail, avail)
     if status is not None:
         status({"nodes": nodes, "depth": n - h, "solutions": int(found)})
     if not found:

@@ -1,6 +1,9 @@
-"""Known small-order data: searched third columns and spectrum bookkeeping."""
+"""The fixed column pair of the small DCAs, the stored third columns
+that complete it, the builder of such a DCA, and spectrum bookkeeping."""
 
 from __future__ import annotations
+
+from .core import Form, Kind, ResidueArray
 
 
 def odd_even_column(n: int) -> tuple[int, ...]:
@@ -8,16 +11,20 @@ def odd_even_column(n: int) -> tuple[int, ...]:
     return tuple(range(1, n, 2)) + tuple(range(0, n, 2))
 
 
-# Reduced columns of the classical DCA(4,7;6).
-BASE_6_COLUMNS: tuple[tuple[int, ...], ...] = (
-    (0, 1, 2, 3, 4, 5),
-    (1, 3, 5, 0, 2, 4),
-    (3, 0, 4, 1, 5, 2),
-)
+def dca_from_third_column(col2: tuple[int, ...]) -> ResidueArray:
+    """Reduced array whose first two columns are the fixed pair (the
+    identity and the odd-then-even column) and whose third column is
+    ``col2``."""
+    n = len(col2)
+    rows = list(zip(range(n), odd_even_column(n), col2))
+    return ResidueArray.from_rows(Kind.DCA, n, rows, form=Form.REDUCED)
 
-# Computer-searched third columns pairing with the identity first column
-# and odd_even_column(n) second column.
+
+# Third columns pairing with the identity first column and
+# odd_even_column(n) second column: order 6 is the classical DCA(4,7;6),
+# the search's only solution there; 24..54 were computer-searched.
 SEARCHED_THIRD_COLUMNS: dict[int, tuple[int, ...]] = {
+    6: (3, 0, 4, 1, 5, 2),
     24: (2, 0, 3, 1, 14, 21, 20, 19, 23, 15, 6, 18, 16, 10, 17, 8, 11,
          22, 5, 13, 4, 9, 7, 12),
     28: (2, 0, 3, 1, 11, 16, 22, 25, 20, 23, 4, 8, 21, 5, 18, 10, 19,
@@ -40,18 +47,14 @@ SEARCHED_THIRD_COLUMNS: dict[int, tuple[int, ...]] = {
          34, 33, 24, 44, 15, 53, 7, 17, 37, 36, 26, 18, 10, 43, 29, 8),
 }
 
-TABLE_ORDERS: tuple[int, ...] = (6,) + tuple(sorted(SEARCHED_THIRD_COLUMNS))
-
-
 # Spectrum bookkeeping for 3-MNOLS(n), n even.  Orders our own methods do
 # not reach are resolved in prior published work; the labels below record
 # which kind of external construction covers each order.  Order 146 is the
 # single open case below the asymptotic threshold 358.
 
 KNOWN_SMALL: frozenset[int] = frozenset(
-    [6, 8, 10, 12, 14, 16, 18, 20, 22, 38, 46, 62, 70, 86, 94, 110, 118,
-     134, 142, 158, 166, 182, 190, 206, 214, 230, 238, 254, 262, 278, 286,
-     302, 310, 326, 334, 350]
+    [12, 14, 16, 18, 20, 38, 86, 110, 134, 158, 206, 230, 254, 278, 302,
+     326, 350]
 )
 
 PRODUCT_HOLE_2: frozenset[int] = frozenset(

@@ -20,7 +20,6 @@ from diffcover.construct import (
     construct_6mu,
     construct_from_table,
     construct_odd,
-    dca_from_third_column,
     dm_prime,
     hdm_product,
     insert_hole,
@@ -34,7 +33,7 @@ from diffcover.latin import (
     williams_order,
 )
 from diffcover.search import search_hdm, search_third_column
-from diffcover.tables import SEARCHED_THIRD_COLUMNS
+from diffcover.tables import SEARCHED_THIRD_COLUMNS, dca_from_third_column
 from diffcover.verify import verify_dca, verify_hdm
 
 from conftest import B_TEXT, mutate

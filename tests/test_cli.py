@@ -17,7 +17,6 @@ from diffcover.construct import (
     METHODS,
     construct_by_method,
     construct_odd,
-    dca_from_third_column,
     dm_prime,
     hdm_product,
     spectrum_report,
@@ -25,6 +24,7 @@ from diffcover.construct import (
 from diffcover.core import Form, read_array, write_array
 from diffcover.latin import williams_order
 from diffcover.search import search_hdm, search_third_column
+from diffcover.tables import dca_from_third_column
 from diffcover.verify import verify_dca
 
 import latin_oracle as oracle
@@ -553,6 +553,9 @@ def test_spectrum_csv(capsys):
 def test_spectrum_bad_bounds(capsys):
     assert main(["spectrum", "--min", "10", "--max", "8"]) == 2
     assert main(["spectrum", "--min", "7", "--max", "9"]) == 2
+    capsys.readouterr()
+    assert main(["spectrum", "--min", "9", "--max", "10"]) == 2
+    assert capsys.readouterr().err == "error: bounds must be even, got 9..10\n"
 
 
 def test_stdout_byte_identical(b_file, capsys):
@@ -624,7 +627,7 @@ CHECKED_MODULES = {
         (["verify", "{b_file}", "--format", "json"], "verify json"),
         (["latin", "{b_file}", "--classify", "--williams"], "latin verify"),
         (["latin", "{b_file}", "--format", "json"], "latin verify json"),
-        (["search", "--order", "14"], "search tables verify json construct"),
+        (["search", "--order", "14"], "search tables verify json"),
         (["search", "--hdm", "14,2"], "search tables verify json"),
     ],
     ids=[
@@ -657,9 +660,8 @@ def test_emit_array_check_survives_optimize():
         "import sys\n"
         "from diffcover.cli import _emit_array\n"
         "from diffcover.core import read_array\n"
-        "from diffcover.verify import verify_dca\n"
         "arr = read_array(sys.stdin.read())\n"
-        "_emit_array(arr, verify_dca(arr, strict=True), 'text')\n"
+        "_emit_array(arr, 'text')\n"
     )
     bad = write_array(mutate(read_array(B_TEXT), 0, 1, 2))
     proc = _run_python("-O", "-c", script, stdin=bad)

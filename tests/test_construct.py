@@ -8,7 +8,6 @@ import pytest
 
 from diffcover.construct import (
     BadParams,
-    IngredientInvalid,
     NoMethod,
     construct_4m,
     construct_4m_general,
@@ -24,7 +23,8 @@ from diffcover.construct import (
     spectrum_report,
 )
 from diffcover.core import Form, Kind, ResidueArray
-from diffcover.tables import SEARCHED_THIRD_COLUMNS, odd_even_column
+from diffcover.search import search_third_column
+from diffcover.tables import EXTERNAL_SOURCES, OPEN_ORDERS, SEARCHED_THIRD_COLUMNS, odd_even_column
 from diffcover.verify import verify_dca, verify_dm, verify_hdm
 
 from conftest import mutate
@@ -134,6 +134,8 @@ def test_construct_6mu():
 
 def test_construct_from_table(b_reduced):
     assert construct_from_table(6) == b_reduced
+    # The classical order-6 column is the only one the search finds.
+    assert search_third_column(6) == [SEARCHED_THIRD_COLUMNS[6]]
     t24 = construct_from_table(24)
     assert t24.column(2)[:6] == (2, 0, 3, 1, 14, 21)
     t54 = construct_from_table(54)
@@ -154,10 +156,15 @@ def test_dm_prime():
     assert verify_dm(dm_prime(7, 4)).passed
     with pytest.raises(BadParams, match="6 is not prime"):
         dm_prime(6, 4)
+    # Prime squares, whose only factor is the square root.
+    for p in (9, 25, 49):
+        with pytest.raises(BadParams, match=f"{p} is not prime"):
+            dm_prime(p, 4)
     with pytest.raises(BadParams, match="k = 6 exceeds p = 5"):
         dm_prime(5, 6)
     with pytest.raises(BadParams, match="k must be positive, got 0"):
         dm_prime(5, 0)
+    assert verify_dm(dm_prime(5, 1)).passed
 
 
 def test_dm_prime_sweep():
@@ -183,19 +190,19 @@ def test_insert_hole_errors(b_reduced):
     hdm = search_hdm(10, 2)
     # No strict DCA(4,3;2) exists; any candidate is rejected.
     candidate = ResidueArray.from_rows(Kind.DCA, 2, [(0, 1, 1, 0), (1, 0, 1, 0), (0, 0, 0, 0)])
-    with pytest.raises(IngredientInvalid):
+    with pytest.raises(BadParams):
         insert_hole(hdm, candidate)
     # Hole size mismatch: the order-6 golden array does not fit hole 2.
-    with pytest.raises(IngredientInvalid):
+    with pytest.raises(BadParams):
         insert_hole(hdm, b_reduced)
     # Broken HDM ingredient.
-    with pytest.raises(IngredientInvalid):
+    with pytest.raises(BadParams):
         insert_hole(mutate(hdm, 0, 1, 3), b_reduced)
     # A valid HDM with lambda = 2 has too many rows to take a hole.
     doubled = search_hdm(24, 6)
     doubled = doubled._replace(entries=doubled.entries * 2)
     assert verify_hdm(doubled).passed and verify_hdm(doubled).meta["lambda"] == 2
-    with pytest.raises(IngredientInvalid, match="HDM ingredient must have lambda = 1"):
+    with pytest.raises(BadParams, match="HDM ingredient must have lambda = 1"):
         insert_hole(doubled, b_reduced)
 
 
@@ -206,7 +213,7 @@ def test_insert_hole_mismatched_k(b_reduced):
     wide = ResidueArray.from_rows(
         Kind.DCA, 6, [row + (0,) for row in b_reduced.entries], form=Form.REDUCED
     )
-    with pytest.raises(IngredientInvalid, match="column counts differ: 4 vs 5"):
+    with pytest.raises(BadParams, match="column counts differ: 4 vs 5"):
         insert_hole(hdm, wide)  # full hole form has 5 columns vs 4
 
 
@@ -218,9 +225,9 @@ def test_hdm_product_rejects_lambda_two():
         Kind.DM, 5, dm_prime(5, 4).entries + dm_prime(5, 4).entries
     )
     assert verify_dm(doubled).meta["lambda"] == 2
-    with pytest.raises(IngredientInvalid):
+    with pytest.raises(BadParams):
         hdm_product(hdm, doubled)
-    with pytest.raises(IngredientInvalid, match="column counts differ: 4 vs 3"):
+    with pytest.raises(BadParams, match="column counts differ: 4 vs 3"):
         hdm_product(hdm, dm_prime(5, 3))
 
 
@@ -317,6 +324,18 @@ def test_spectrum_report_bounds():
     for lo, hi in [(8, 6), (5, 10), (6, 11), (2, 10)]:
         with pytest.raises(ValueError):
             spectrum_report(lo, hi)
+    with pytest.raises(ValueError, match=r"bounds must be even, got 9\.\.10"):
+        spectrum_report(9, 10)
+
+
+def test_transcribed_orders_are_ones_the_registry_misses():
+    # spectrum reports an internal method before any transcribed label, so
+    # a transcribed order that a method covers would never be read; and
+    # only the first set holding an order would be.
+    sets = [orders for _, orders in EXTERNAL_SOURCES] + [OPEN_ORDERS]
+    transcribed = [order for orders in sets for order in orders]
+    assert len(transcribed) == len(set(transcribed))
+    assert [order for order in transcribed if methods_for_order(order)] == []
 
 
 def test_searched_columns_pair_with_stated_pattern():

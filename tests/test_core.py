@@ -76,6 +76,15 @@ def test_array_validation():
         ResidueArray.from_rows(Kind.DM, 5, [(0, 0)], hole=1)
     with pytest.raises(ValueError):
         ResidueArray.from_rows(Kind.DM, 5, [(0, 0)], form=Form.REDUCED)
+    # The smallest shapes the bounds admit: order 1, and hole 1.
+    assert ResidueArray.from_rows(Kind.DM, 1, [(0, 0)]).order == 1
+    assert ResidueArray.from_rows(Kind.HDM, 2, [(1, 1)], hole=1).hole == 1
+
+
+def test_column_index_bounds(b_reduced):
+    assert b_reduced.column(2) == (3, 0, 4, 1, 5, 2)
+    with pytest.raises(IndexError, match=r"column 3 outside \[0, 3\)"):
+        b_reduced.column(3)
 
 
 def test_read_golden_text(b_full):

@@ -49,7 +49,7 @@ def test_latin_from_dca_third_column(b_reduced):
 def test_latin_from_dca_preconditions(b_full, b_reduced):
     with pytest.raises(ValueError):
         latin_from_dca(b_full, 0)
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match=r"column 3 outside \[0, 3\)"):
         latin_from_dca(b_reduced, 3)
 
 
