@@ -62,6 +62,7 @@ _MODULES = {
         "search_hdm",
         "search_third_column",
     ),
+    "tables": ("dca_from_third_column",),
 }
 
 # Public name -> the module that defines it.

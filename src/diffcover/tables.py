@@ -1,5 +1,5 @@
-"""The fixed column pair of the small DCAs, the stored third columns
-that complete it, the builder of such a DCA, and spectrum bookkeeping."""
+"""The fixed column pair of the small DCAs, its stored third columns and
+the builder of such a DCA: what the searches and the table method load."""
 
 from __future__ import annotations
 
@@ -46,59 +46,3 @@ SEARCHED_THIRD_COLUMNS: dict[int, tuple[int, ...]] = {
          0, 32, 40, 21, 50, 9, 45, 16, 1, 46, 11, 28, 42, 47, 35, 39, 2, 22, 13,
          34, 33, 24, 44, 15, 53, 7, 17, 37, 36, 26, 18, 10, 43, 29, 8),
 }
-
-# Spectrum bookkeeping for 3-MNOLS(n), n even.  Orders our own methods do
-# not reach are resolved in prior published work; the labels below record
-# which kind of external construction covers each order.  Order 146 is the
-# single open case below the asymptotic threshold 358.
-
-KNOWN_SMALL: frozenset[int] = frozenset(
-    [12, 14, 16, 18, 20, 38, 86, 110, 134, 158, 206, 230, 254, 278, 302,
-     326, 350]
-)
-
-PRODUCT_HOLE_2: frozenset[int] = frozenset(
-    [50, 98, 170, 242, 290, 338,           # via prime-order doubled holes
-     90, 126, 198, 234, 306, 342,          # via odd orders coprime to 9
-     60, 80, 84, 100, 112, 120, 132, 156, 160, 168, 176, 180, 204, 208,
-     224, 228, 240, 252, 264, 272, 276, 300, 304, 312, 320, 336, 352]
-)
-
-PRODUCT_HOLE_4: frozenset[int] = frozenset([140, 196, 220, 260, 308, 340])
-
-PRODUCT_HOLE_6: frozenset[int] = frozenset(
-    [30, 42, 66, 78, 102, 114, 138, 150, 174, 186, 210, 222, 246, 258,
-     282, 294, 318, 330, 354]
-)
-
-PRODUCT_POWER_3: frozenset[int] = frozenset([216, 270, 324])
-
-BLOCK_DESIGN: frozenset[int] = frozenset(
-    [76, 92, 96, 108, 116, 124, 128, 144, 148, 164, 172, 188, 192, 212,
-     236, 244, 256, 268, 284, 288, 292, 316, 332, 348, 356,
-     64, 68, 72, 74, 122, 162, 194, 218, 314]
-)
-
-OPEN_ORDERS: frozenset[int] = frozenset([146])
-
-ASYMPTOTIC_THRESHOLD = 358
-
-# Ordered (label, orders) pairs; the first matching label is reported.
-EXTERNAL_SOURCES: tuple[tuple[str, frozenset[int]], ...] = (
-    ("known-small", KNOWN_SMALL),
-    ("product-hole-2", PRODUCT_HOLE_2),
-    ("product-hole-4", PRODUCT_HOLE_4),
-    ("product-hole-6", PRODUCT_HOLE_6),
-    ("product-power-3", PRODUCT_POWER_3),
-    ("block-design", BLOCK_DESIGN),
-)
-
-
-def external_source(order: int) -> str | None:
-    """Label of the external construction covering an even order, if any."""
-    for label, orders in EXTERNAL_SOURCES:
-        if order in orders:
-            return label
-    if order >= ASYMPTOTIC_THRESHOLD:
-        return "asymptotic"
-    return None

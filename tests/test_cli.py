@@ -48,6 +48,13 @@ def test_construct_to_file(tmp_path, capsys):
     assert arr == construct_odd(13, 16)
 
 
+def test_construct_to_stdout_writes_no_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["construct", "--order", "6"]) == 0
+    assert capsys.readouterr().out == write_array(construct_by_method(6)[0])
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_construct_to_stdout(capsys):
     code = main(["construct", "--order", "24"])
     captured = capsys.readouterr()
@@ -90,6 +97,14 @@ def test_verify_golden(b_file, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert captured.out.endswith("verdict: pass\n")
+
+
+def test_verify_reads_stdin(b_file, monkeypatch, capsys):
+    assert main(["verify", b_file, "--strict"]) == 0
+    want = capsys.readouterr()
+    monkeypatch.setattr(sys, "stdin", io.StringIO(B_TEXT))
+    assert main(["verify", "-", "--strict"]) == 0
+    assert capsys.readouterr() == want
 
 
 def test_verify_json(b_file, capsys):
@@ -307,9 +322,18 @@ def test_search_order(capsys):
 
 def test_search_order_limit_separates_arrays(capsys):
     # Each array found is printed in turn, with a blank line between two.
-    assert main(["search", "--order", "8", "--limit", "2"]) == 0
-    arrays = [dca_from_third_column(col) for col in search_third_column(8, result_limit=2)]
+    # Order 10 has four third columns (order 8 has one).
+    assert main(["search", "--order", "10", "--limit", "2"]) == 0
+    arrays = [dca_from_third_column(col) for col in search_third_column(10, result_limit=2)]
+    assert len(arrays) == 2
     assert capsys.readouterr().out == "\n".join(map(write_array, arrays))
+
+
+def test_search_order_prints_one_array_by_default(capsys):
+    # Order 10 has four third columns; without --limit only the first is printed.
+    assert main(["search", "--order", "10"]) == 0
+    first = search_third_column(10, result_limit=1)[0]
+    assert capsys.readouterr().out == write_array(dca_from_third_column(first))
 
 
 @pytest.mark.parametrize("argv", [["--order", "2400"], ["--hdm", "2400,2"], ["--order", "20000"]])
@@ -652,6 +676,27 @@ def test_commands_import_only_their_modules(argv, loads, b_file, tmp_path):
     assert proc.stdout
     want = {name if name == "json" else f"diffcover.{name}" for name in loads.split()}
     assert CHECKED_MODULES.intersection(loaded) == want
+
+
+def test_a_layer_name_replaced_on_cli_is_the_one_a_command_calls():
+    # The names cli binds can be read and replaced before main runs; a
+    # search that finds nothing is then a no-result exit.
+    script = (
+        "import sys, diffcover\n"
+        "from diffcover import cli\n"
+        "assert all(getattr(cli, name) is getattr(diffcover, name) for name in diffcover.__all__)\n"
+        "print(cli.search_third_column.__module__)\n"
+        "cli.search_third_column = lambda *args, **kwargs: []\n"
+        "sys.exit(cli.main(['search', '--order', '8']))\n"
+    )
+    proc = _run_python("-c", script)
+    assert (proc.returncode, proc.stdout) == (3, "diffcover.search\n")
+    assert proc.stderr == "error: search space exhausted without a solution\n"
+
+
+def test_cli_has_no_other_names():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        diffcover.cli.no_such_name
 
 
 def test_emit_array_check_survives_optimize():

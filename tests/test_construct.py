@@ -7,6 +7,8 @@ import itertools
 import pytest
 
 from diffcover.construct import (
+    ASYMPTOTIC_THRESHOLD,
+    RECORD,
     BadParams,
     NoMethod,
     construct_4m,
@@ -24,7 +26,7 @@ from diffcover.construct import (
 )
 from diffcover.core import Form, Kind, ResidueArray
 from diffcover.search import search_third_column
-from diffcover.tables import EXTERNAL_SOURCES, OPEN_ORDERS, SEARCHED_THIRD_COLUMNS, odd_even_column
+from diffcover.tables import SEARCHED_THIRD_COLUMNS, odd_even_column
 from diffcover.verify import verify_dca, verify_dm, verify_hdm
 
 from conftest import mutate
@@ -331,11 +333,14 @@ def test_spectrum_report_bounds():
 def test_transcribed_orders_are_ones_the_registry_misses():
     # spectrum reports an internal method before any transcribed label, so
     # a transcribed order that a method covers would never be read; and
-    # only the first set holding an order would be.
-    sets = [orders for _, orders in EXTERNAL_SOURCES] + [OPEN_ORDERS]
-    transcribed = [order for orders in sets for order in orders]
+    # only one label per order could be.  Below the asymptotic threshold
+    # the record must hold every order the methods miss, since spectrum
+    # has no label for an order in neither.
+    transcribed = [order for orders in RECORD.values() for order in orders]
     assert len(transcribed) == len(set(transcribed))
     assert [order for order in transcribed if methods_for_order(order)] == []
+    missed = [order for order in range(6, ASYMPTOTIC_THRESHOLD, 2) if not methods_for_order(order)]
+    assert sorted(transcribed) == missed
 
 
 def test_searched_columns_pair_with_stated_pattern():

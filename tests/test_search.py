@@ -123,6 +123,28 @@ def test_search_hdm_budget():
         search_hdm(14, 2, node_budget=3)
 
 
+def test_budgets_are_exact():
+    # A budget of exactly the nodes a search takes is enough, and one
+    # node fewer is not, at each place a node is counted.
+    first = THIRD_PINS[14][1]
+    assert search_third_column(14, result_limit=1, node_budget=15_994) == [first]
+    with pytest.raises(BudgetExhausted):
+        search_third_column(14, result_limit=1, node_budget=15_993)
+    assert search_hdm(14, 2, node_budget=1231).entries == search_hdm(14, 2).entries
+    with pytest.raises(BudgetExhausted):
+        search_hdm(14, 2, node_budget=1230)
+    with pytest.raises(NoSolution):
+        search_hdm(6, 1, node_budget=150)
+    with pytest.raises(BudgetExhausted):
+        search_hdm(6, 1, node_budget=149)
+
+
+def test_search_hdm_hole_of_one():
+    arr = search_hdm(5, 1)
+    assert (arr.order, arr.hole, arr.rows) == (5, 1, 4)
+    assert verify_hdm(arr).passed
+
+
 def test_search_hdm_bad_hole():
     with pytest.raises(ValueError, match="hole 3 must divide order 10"):
         search_hdm(10, 3)
