@@ -15,10 +15,7 @@ _MODULES = {
         "DesignError",
         "Form",
         "Kind",
-        "NoMethod",
         "NoSolution",
-        "NotNormalized",
-        "OddOrderStrict",
         "ParseError",
         "ResidueArray",
         "diff_counts",
@@ -41,7 +38,6 @@ _MODULES = {
         "construct_4m_general",
         "construct_6mu",
         "construct_by_method",
-        "construct_from_table",
         "construct_odd",
         "dm_prime",
         "hdm_product",

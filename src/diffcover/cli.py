@@ -21,10 +21,7 @@ from .core import (
     CertificationFailed,
     Form,
     Kind,
-    NoMethod,
     NoSolution,
-    NotNormalized,
-    OddOrderStrict,
     ParseError,
     ResidueArray,
     read_array,
@@ -69,9 +66,6 @@ EXIT_NO_RESULT = 3
 # ValueError covers UnicodeDecodeError from a file that is not UTF-8.
 EXIT_CODES: dict[type[Exception], int] = {
     CertificationFailed: EXIT_VERIFY,
-    OddOrderStrict: EXIT_VERIFY,
-    NotNormalized: EXIT_VERIFY,
-    NoMethod: EXIT_NO_RESULT,
     NoSolution: EXIT_NO_RESULT,
     BudgetExhausted: EXIT_NO_RESULT,
     ParseError: EXIT_USAGE,
@@ -208,7 +202,7 @@ def cmd_latin(args: argparse.Namespace) -> int:
         obj: dict[str, object] = {
             "order": n,
             "square_indices": indices,
-            "squares": [[list(row) for row in sq.grid] for sq in squares],
+            "squares": [sq.grid for sq in squares],
         }
         if ordering is not None:
             obj["ordering"] = ordering

@@ -15,7 +15,7 @@ from math import gcd, isqrt
 from typing import Callable, Iterator, NamedTuple
 
 from . import tables
-from .core import CertificationFailed, DesignError, Form, Kind, NoMethod, OddOrderStrict, ResidueArray, to_full
+from .core import CertificationFailed, DesignError, Form, Kind, NoSolution, ResidueArray, to_full
 
 
 class BadParams(DesignError):
@@ -152,15 +152,6 @@ def construct_6mu(mu: int) -> ResidueArray:
     return arr
 
 
-def construct_from_table(order: int) -> ResidueArray:
-    """Reduced DCA(4, order+1; order) from the fixed column pair and the
-    stored third column of that order (6, and the eight computer-searched
-    orders 24..54)."""
-    if order not in tables.SEARCHED_THIRD_COLUMNS:
-        raise NoMethod(f"no stored table for order {order}")
-    return tables.dca_from_third_column(tables.SEARCHED_THIRD_COLUMNS[order])
-
-
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -214,10 +205,8 @@ def insert_hole(hdm: ResidueArray, dca_hole: ResidueArray) -> ResidueArray:
     _require(hdm_report.meta["lambda"] == 1, "HDM ingredient must have lambda = 1")
     n, h = hdm.order, hdm.hole
     _require(dca_hole.order == h, f"hole DCA order {dca_hole.order} != hole size {h}")
-    try:
-        _require(verify_dca(dca_hole, strict=True).passed, "hole DCA fails strict verification")
-    except OddOrderStrict as exc:
-        raise BadParams(str(exc)) from exc
+    _require(h % 2 == 0, f"strict checks need even order, got {h}")
+    _require(verify_dca(dca_hole, strict=True).passed, "hole DCA fails strict verification")
     _require(full_hole.is_normalized, "hole DCA must have zero last row and column")
     u = n // h
     embedded = tuple(tuple((v * u) % n for v in row) for row in full_hole.entries)
@@ -264,21 +253,21 @@ def _four_m_index(order: int) -> int | None:
 
 
 class Method(NamedTuple):
-    """A direct construction.  ``params_for(order)`` is the parameter with
-    which the family covers an even order, or None; ``label`` names that
-    parameter in the method tag, which is the bare name when it is empty."""
+    """A direct construction.  ``params_for(order)`` is the family's
+    parameter for an even order it covers (the stored third column for
+    ``table``), or None; ``label`` names that parameter in the method tag,
+    which is the bare name when it is empty."""
 
     name: str
-    params_for: Callable[[int], int | None]
-    build: Callable[[int], ResidueArray]
+    params_for: Callable[[int], int | tuple[int, ...] | None]
+    build: Callable[..., ResidueArray]
     label: str = ""
 
 
 # In priority order: automatic dispatch takes the first method that covers
 # an order.
 METHODS: tuple[Method, ...] = (
-    Method("table", lambda order: order if order in tables.SEARCHED_THIRD_COLUMNS else None,
-           construct_from_table),
+    Method("table", tables.SEARCHED_THIRD_COLUMNS.get, tables.dca_from_third_column),
     Method("odd-f", _odd_f_index, lambda i: construct_odd(*params_odd(i)), "i"),
     Method("four-m", _four_m_index, construct_4m, "k"),
     Method("six-mu", lambda order: (order - 4) // 6 if order % 12 == 10 else None, construct_6mu, "mu"),
@@ -299,7 +288,7 @@ def construct_by_method(order: int, method: str = "auto") -> tuple[ResidueArray,
         params = m.params_for(order)
         if params is not None:
             return m.build(params), f"{m.name} {m.label}={params}" if m.label else m.name
-    raise NoMethod(f"no {'implemented' if method == 'auto' else method} family covers order {order}")
+    raise NoSolution(f"no {'implemented' if method == 'auto' else method} family covers order {order}")
 
 
 def methods_for_order(order: int) -> tuple[str, ...]:

@@ -25,29 +25,19 @@ class ParseError(DesignError):
     """Malformed array file: bad header, row shape, or out-of-range entry."""
 
 
-class NotNormalized(DesignError):
-    """Array lacks the all-zero last row/column required by the operation."""
-
-
 class BudgetExhausted(DesignError):
     """Node budget ran out before any result was found."""
 
 
 class NoSolution(DesignError):
-    """The full search space was exhausted without a solution."""
-
-
-class NoMethod(DesignError):
-    """No implemented method covers the requested order."""
-
-
-class OddOrderStrict(DesignError):
-    """Strict DCA checks require even order (the forced repeat is n/2)."""
+    """No result: no implemented method covers the order, or a search
+    space was exhausted without a solution."""
 
 
 class CertificationFailed(DesignError):
-    """An array about to be returned, emitted or derived from failed its
-    verification."""
+    """An array lacks a property its operation needs: passing verification,
+    an even order for a strict check, or the zero last row and column that
+    the reduced form strips."""
 
 
 class Record:
@@ -121,19 +111,15 @@ class ResidueArray(Record, _ResidueArray):
         if self.form is Form.REDUCED and self.kind is not Kind.DCA:
             raise ValueError("reduced form applies to DCA arrays only")
         # The row count of each kind: n+1 (full) or n (reduced) for a DCA,
-        # a multiple of n-h for an HDM and of n for a DM.
+        # a multiple of n-h for an HDM or a DM (whose hole is 0).
         count, n, h = len(self.entries), self.order, self.hole
         if self.kind is Kind.DCA:
             want = n + 1 if self.form is Form.FULL else n
             if count != want:
                 raise ValueError(f"{self.form.value} DCA over Z_{n} needs {want} rows, got {count}")
-        elif self.kind is Kind.HDM:
-            if count % (n - h):
-                raise ValueError(
-                    f"HDM over Z_{n} with hole {h} needs a multiple of {n - h} rows, got {count}"
-                )
-        elif count % n:
-            raise ValueError(f"DM over Z_{n} needs a multiple of {n} rows, got {count}")
+        elif count % (n - h):
+            hole = f" with hole {h}" if h else ""
+            raise ValueError(f"{self.kind.value} over Z_{n}{hole} needs a multiple of {n - h} rows, got {count}")
 
     @classmethod
     def from_rows(
@@ -181,7 +167,7 @@ def to_reduced(a: ResidueArray) -> ResidueArray:
     if a.kind is not Kind.DCA or a.form is not Form.FULL:
         raise ValueError("to_reduced expects a full-form DCA")
     if not a.is_normalized:
-        raise NotNormalized("last row and last column must be all zero")
+        raise CertificationFailed("last row and last column must be all zero")
     entries = tuple(row[:-1] for row in a.entries[:-1])
     return ResidueArray(Kind.DCA, a.order, 0, Form.REDUCED, entries)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .core import Form, Kind, OddOrderStrict, ResidueArray, diff_counts
+from .core import CertificationFailed, Form, Kind, ResidueArray, diff_counts
 
 
 class Check(NamedTuple):
@@ -160,7 +160,7 @@ def verify_dca(a: ResidueArray, strict: bool = False) -> VerificationReport:
     meta: dict[str, object] = {"rows": rows, "min_coverage": min_coverage}
     if strict:
         if n % 2:
-            raise OddOrderStrict(f"strict checks need even order, got {n}")
+            raise CertificationFailed(f"strict checks need even order, got {n}")
         zero_twice = Check("zero-twice-per-column")
         for j, col in enumerate(cols):
             zeros = col.count(0)

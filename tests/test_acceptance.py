@@ -15,10 +15,12 @@ from pathlib import Path
 import pytest
 
 from diffcover.construct import (
+    METHODS,
+    RECORD,
     BadParams,
     construct_4m,
     construct_6mu,
-    construct_from_table,
+    construct_by_method,
     construct_odd,
     dm_prime,
     hdm_product,
@@ -88,7 +90,7 @@ def pipeline_seventy() -> ResidueArray:
 
 def pipeline_thirty() -> ResidueArray:
     if "dca30" not in _cache:
-        _cache["dca30"] = insert_hole(search_hdm(30, 6), construct_from_table(6))
+        _cache["dca30"] = insert_hole(search_hdm(30, 6), construct_by_method(6, "table")[0])
     return _cache["dca30"]
 
 
@@ -119,7 +121,7 @@ def produced_dcas():
     for mu in SIX_MU_SWEEP:
         yield from emit(f"six-mu mu={mu}", construct_6mu(mu))
     for order in (6, 24, 28, 32, 36, 44, 48, 52, 54):
-        yield from emit(f"table {order}", construct_from_table(order))
+        yield from emit(f"table {order}", construct_by_method(order, "table")[0])
     yield from emit("searched 24", searched_twenty_four())
     yield from emit("searched 14", searched_fourteen())
     yield from emit("pipeline 70", pipeline_seventy())
@@ -188,7 +190,7 @@ def test_criterion_03_family_sweeps():
 def test_criterion_04_table_orders():
     t0 = time.perf_counter()
     for order in (6, 24, 28, 32, 36, 44, 48, 52, 54):
-        assert verify_dca(construct_from_table(order), strict=True).passed
+        assert verify_dca(construct_by_method(order, "table")[0], strict=True).passed
     report_line(4, "table-orders", time.perf_counter() - t0, 1.0)
 
 
@@ -335,9 +337,11 @@ def test_criterion_10_spectrum_report():
                   268, 284, 288, 292, 314, 316, 332, 348, 356):
         assert by_order[order]["status"] == "covered-externally"
         assert by_order[order]["source"] == "block-design"
-    # Every even order in range is accounted for.
+    # Every even order in range is accounted for, by a method, a record
+    # label or the asymptotic bound.
+    sources = {*(m.name for m in METHODS), *RECORD, "asymptotic"}
     assert {e["order"] for e in live} == set(range(6, 361, 2))
     for e in live:
         assert e["status"] in ("internal", "covered-externally", "open")
-        assert e["source"] != "unlisted"
+        assert e["source"] in sources
     report_line(10, "spectrum-report", time.perf_counter() - t0, 10.0)

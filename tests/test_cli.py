@@ -522,6 +522,33 @@ def test_latin_on_single_column_dca_is_a_usage_error(tmp_path, capsys):
     _assert_usage_error(code, capsys.readouterr())
 
 
+_ODD5 = "kind=DCA k=3 n=5 h=0 form=full\n" + "0 0 0\n" * 6
+# The order-6 DCA with a 1 at the foot of its zero column: it passes
+# strict verification but has no reduced form.
+_UNNORMALIZED6 = "kind=DCA k=4 n=6 h=0 form=full\n0 1 3 0\n1 3 0 0\n2 5 4 0\n3 0 1 0\n4 2 5 0\n5 4 2 0\n0 0 0 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv, text, code, err",
+    [
+        (["verify", "{}", "--strict"], _ODD5, 1, "strict checks need even order, got 5"),
+        (["latin", "{}"], _ODD5, 1, "strict checks need even order, got 5"),
+        (["latin", "{}"], _UNNORMALIZED6, 1, "last row and last column must be all zero"),
+        (["construct", "--order", "38"], "", 3, "no implemented family covers order 38"),
+        (["construct", "--order", "26", "--method", "table"], "", 3, "no table family covers order 26"),
+    ],
+    ids=["verify-odd", "latin-odd", "latin-unnormalized", "construct-auto", "construct-table"],
+)
+def test_failure_exit_code_and_stderr(argv, text, code, err, tmp_path, capsys):
+    path = tmp_path / "in.txt"
+    path.write_text(text)
+    if text == _UNNORMALIZED6:
+        assert main(["verify", str(path), "--strict"]) == 0
+        capsys.readouterr()
+    assert main([arg.format(path) for arg in argv]) == code
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
 def test_verify_rejects_float_json_fields(tmp_path, capsys):
     # int() would truncate n 6.9 to 6 and the entry 0.7 to 0, passing the golden array.
     obj = json.loads(write_array(read_array(B_TEXT), fmt="json"))

@@ -10,12 +10,10 @@ from diffcover.construct import (
     ASYMPTOTIC_THRESHOLD,
     RECORD,
     BadParams,
-    NoMethod,
     construct_4m,
     construct_4m_general,
     construct_6mu,
     construct_by_method,
-    construct_from_table,
     construct_odd,
     dm_prime,
     hdm_product,
@@ -24,7 +22,7 @@ from diffcover.construct import (
     params_odd,
     spectrum_report,
 )
-from diffcover.core import Form, Kind, ResidueArray
+from diffcover.core import Form, Kind, NoSolution, ResidueArray
 from diffcover.search import search_third_column
 from diffcover.tables import SEARCHED_THIRD_COLUMNS, odd_even_column
 from diffcover.verify import verify_dca, verify_dm, verify_hdm
@@ -134,21 +132,21 @@ def test_construct_6mu():
             construct_6mu(bad)
 
 
-def test_construct_from_table(b_reduced):
-    assert construct_from_table(6) == b_reduced
+def test_table_method(b_reduced):
+    assert construct_by_method(6, "table") == (b_reduced, "table")
     # The classical order-6 column is the only one the search finds.
     assert search_third_column(6) == [SEARCHED_THIRD_COLUMNS[6]]
-    t24 = construct_from_table(24)
+    t24 = construct_by_method(24, "table")[0]
     assert t24.column(2)[:6] == (2, 0, 3, 1, 14, 21)
-    t54 = construct_from_table(54)
+    t54 = construct_by_method(54, "table")[0]
     assert t54.column(2)[-4:] == (10, 43, 29, 8)
-    with pytest.raises(NoMethod):
-        construct_from_table(26)
+    with pytest.raises(NoSolution, match="^no table family covers order 26$"):
+        construct_by_method(26, "table")
 
 
 @pytest.mark.parametrize("order", [6, 24, 28, 32, 36, 44, 48, 52, 54])
 def test_table_orders_strict(order):
-    assert verify_dca(construct_from_table(order), strict=True).passed
+    assert verify_dca(construct_by_method(order, "table")[0], strict=True).passed
 
 
 def test_dm_prime():
@@ -206,6 +204,10 @@ def test_insert_hole_errors(b_reduced):
     assert verify_hdm(doubled).passed and verify_hdm(doubled).meta["lambda"] == 2
     with pytest.raises(BadParams, match="HDM ingredient must have lambda = 1"):
         insert_hole(doubled, b_reduced)
+    # A hole of odd order admits no strict check.
+    odd_hole = ResidueArray.from_rows(Kind.DCA, 1, [(0, 0, 0, 0)] * 2)
+    with pytest.raises(BadParams, match="^strict checks need even order, got 1$"):
+        insert_hole(search_hdm(5, 1), odd_hole)
 
 
 def test_insert_hole_mismatched_k(b_reduced):
@@ -248,7 +250,7 @@ def test_construct_auto_dispatch():
         arr, tag = construct_by_method(order)
         assert tag == want
         assert verify_dca(arr, strict=True).passed
-    with pytest.raises(NoMethod):
+    with pytest.raises(NoSolution):
         construct_by_method(64)
     with pytest.raises(ValueError):
         construct_by_method(7)
@@ -259,9 +261,9 @@ def test_construct_auto_dispatch():
 def test_construct_by_method():
     arr, tag = construct_by_method(26, "odd-f")
     assert tag == "odd-f i=0"
-    with pytest.raises(NoMethod):
+    with pytest.raises(NoSolution):
         construct_by_method(26, "table")
-    with pytest.raises(NoMethod):
+    with pytest.raises(NoSolution):
         construct_by_method(24, "four-m")
     with pytest.raises(ValueError):
         construct_by_method(24, "bogus")
@@ -283,7 +285,7 @@ def test_registry_agrees_with_construction():
         for name in ("table", "odd-f", "four-m", "six-mu"):
             try:
                 arr, tag = construct_by_method(order, name)
-            except NoMethod:
+            except NoSolution:
                 continue
             if verify_dca(arr, strict=True).passed:
                 built[name] = (arr, tag)
@@ -291,7 +293,7 @@ def test_registry_agrees_with_construction():
         if built:
             assert construct_by_method(order) == next(iter(built.values())), order
         else:
-            with pytest.raises(NoMethod):
+            with pytest.raises(NoSolution):
                 construct_by_method(order)
 
 
@@ -313,13 +315,6 @@ def test_spectrum_report():
         for e in entries.values()
     )
     assert [e.order for e in spectrum_report(6, 360)] == list(range(6, 361, 2))
-    # No even order up to the asymptotic threshold escapes the transcribed
-    # record except the open one.
-    assert not [
-        e.order
-        for e in spectrum_report(6, 356)
-        if not e.constructible_by and e.source == "unlisted"
-    ]
 
 
 def test_spectrum_report_bounds():

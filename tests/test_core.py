@@ -7,9 +7,9 @@ import json
 import pytest
 
 from diffcover.core import (
+    CertificationFailed,
     Form,
     Kind,
-    NotNormalized,
     ParseError,
     ResidueArray,
     diff_counts,
@@ -54,12 +54,12 @@ def test_full_reduced_round_trips(b_full, b_reduced):
 
 def test_to_reduced_rejects_unnormalized(b_full):
     bad = mutate(b_full, 6, 1, 2)
-    with pytest.raises(NotNormalized):
+    with pytest.raises(CertificationFailed, match="^last row and last column must be all zero$"):
         to_reduced(bad)
 
 
 def test_to_reduced_rejects_reduced_input(b_reduced):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^to_reduced expects a full-form DCA$"):
         to_reduced(b_reduced)
 
 
@@ -153,7 +153,7 @@ def test_round_trip_constructed_arrays(fmt):
     from diffcover.construct import (
         construct_4m,
         construct_6mu,
-        construct_from_table,
+        construct_by_method,
         construct_odd,
         dm_prime,
         hdm_product,
@@ -165,8 +165,8 @@ def test_round_trip_constructed_arrays(fmt):
         construct_odd(13, 16),
         construct_4m(0),
         construct_6mu(1),
-        construct_from_table(24),
-        to_full(construct_from_table(6)),
+        construct_by_method(24, "table")[0],
+        to_full(construct_by_method(6, "table")[0]),
         dm_prime(7, 4),
         hdm,
         hdm_product(hdm, dm_prime(7, 4)),

@@ -1,6 +1,7 @@
 """The public names of the package, the behaviour of its record types
 (keyword construction, defaults, equality, hashing, immutability, repr)
-and the validation errors of records, constructors and searches."""
+and the validation errors of records, constructors, conversions,
+verifiers and searches."""
 
 from __future__ import annotations
 
@@ -16,11 +17,12 @@ from diffcover.construct import (
     construct_6mu,
     construct_by_method,
     construct_odd,
+    dm_prime,
 )
-from diffcover.core import Form, Kind, ResidueArray
+from diffcover.core import Form, Kind, ResidueArray, to_full, write_array
 from diffcover.latin import LatinSquare, check_row_complete
 from diffcover.search import search_hdm, search_third_column
-from diffcover.verify import Check, VerificationReport, verify_dca
+from diffcover.verify import Check, VerificationReport, verify_dca, verify_hdm
 
 
 def test_every_public_name_resolves():
@@ -54,14 +56,12 @@ def test_mapped_errors_live_in_core():
     import diffcover.verify as verify
 
     raisers = {
-        "OddOrderStrict": [verify, construct],
-        "CertificationFailed": [construct],
-        "NoMethod": [construct],
+        "CertificationFailed": [verify, construct],
         "BudgetExhausted": [search],
-        "NoSolution": [search],
+        "NoSolution": [search, construct],
     }
     mapped = [cls for cls in cli.EXIT_CODES if issubclass(cls, core.DesignError)]
-    assert {cls.__name__ for cls in mapped} == {*raisers, "ParseError", "NotNormalized"}
+    assert {cls.__name__ for cls in mapped} == {*raisers, "ParseError"}
     for cls in mapped:
         name = cls.__name__
         assert cls.__module__ == "diffcover.core"
@@ -143,6 +143,9 @@ def test_reports_do_not_share_meta():
          ValueError, "HDM over Z_6 with hole 2 needs a multiple of 4 rows, got 1"),
         (lambda: ResidueArray(Kind.DM, 6, 0, Form.FULL, ((0, 0),) * 7),
          ValueError, "DM over Z_6 needs a multiple of 6 rows, got 7"),
+        (lambda: to_full(to_full(construct_by_method(6)[0])), ValueError, "to_full expects a reduced-form DCA"),
+        (lambda: write_array(dm_prime(5, 4), "xml"), ValueError, "unknown format 'xml'"),
+        (lambda: verify_hdm(dm_prime(5, 4)), ValueError, "verify_hdm expects an HDM array, got DM"),
         (lambda: LatinSquare(3, (0, 0, 1)), ValueError, "offsets are not a permutation of 0..2"),
         (lambda: search_third_column(14, node_budget=0), ValueError, "node budget must be positive, got 0"),
         (lambda: search_third_column(14, result_limit=0), ValueError, "result limit must be positive, got 0"),
@@ -151,7 +154,13 @@ def test_reports_do_not_share_meta():
         (lambda: search_hdm(10, 2, status_interval=-3), ValueError, "status interval must be non-negative, got -3"),
         (lambda: construct_odd(13, 13), BadParams, "gcd(f, 2m) = gcd(13, 26) = 13, expected 2"),
         (lambda: construct_odd(m=13, f=14), BadParams, "f^2+f+1 = 211 is not 13 mod 26"),
+        (lambda: construct_odd(5, 8), BadParams, "gcd(f+2, 2m) = gcd(10, 10) = 10, expected 2"),
+        (lambda: construct_odd(13, 42), BadParams, "f = 42 outside [m+3, 2m-4] = [16, 22]"),
+        (lambda: construct_4m_general(10, 17), BadParams, "gcd(f, 4m) = gcd(17, 40) = 1, expected 2"),
         (lambda: construct_4m_general(6, 10), BadParams, "gcd(f-1, 4m) = gcd(9, 24) = 3, expected 1"),
+        (lambda: construct_4m_general(2, 6), BadParams, "f^2+f-2 = 40 is not 4 mod 8"),
+        (lambda: dm_prime(0, 1), BadParams, "0 is not prime"),
+        (lambda: dm_prime(1, 1), BadParams, "1 is not prime"),
         (lambda: construct_6mu(mu=2), BadParams, "mu must be an odd positive integer, got 2"),
     ],
 )

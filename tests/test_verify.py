@@ -7,8 +7,8 @@ from collections import Counter
 import pytest
 
 from diffcover.construct import dm_prime
-from diffcover.core import Kind, ResidueArray, diff_counts
-from diffcover.verify import OddOrderStrict, verify_dca, verify_dm, verify_hdm
+from diffcover.core import CertificationFailed, Kind, ResidueArray, diff_counts
+from diffcover.verify import verify_dca, verify_dm, verify_hdm
 
 from conftest import mutate
 
@@ -116,7 +116,7 @@ def test_verify_dca_coverage_only_mode(b_full):
 def test_verify_dca_odd_order_strict():
     rows = [(i, 0) for i in range(5)] + [(0, 0)]
     arr = ResidueArray.from_rows(Kind.DCA, 5, rows)
-    with pytest.raises(OddOrderStrict):
+    with pytest.raises(CertificationFailed, match="^strict checks need even order, got 5$"):
         verify_dca(arr, strict=True)
     assert verify_dca(arr, strict=False).passed
 
@@ -140,7 +140,7 @@ def test_every_constructed_array_verifies(b_reduced):
     from diffcover.construct import (
         construct_4m,
         construct_6mu,
-        construct_from_table,
+        construct_by_method,
         construct_odd,
     )
 
@@ -148,7 +148,7 @@ def test_every_constructed_array_verifies(b_reduced):
         construct_odd(13, 16),
         construct_4m(0),
         construct_6mu(1),
-        construct_from_table(24),
+        construct_by_method(24, "table")[0],
         b_reduced,
     ]:
         assert verify_dca(arr, strict=True).passed

@@ -25,7 +25,7 @@ class BadHole(OracleError):
     pass
 
 
-class OddOrderStrict(OracleError):
+class CertificationFailed(OracleError):
     pass
 
 
@@ -115,7 +115,7 @@ def verify_dca(a: ResidueArray, strict: bool = False) -> dict:
     meta = {"rows": full.rows, "min_coverage": min_coverage}
     if strict:
         if n % 2:
-            raise OddOrderStrict
+            raise CertificationFailed
         if full.rows != n + 1:
             raise BadShape
         zero_twice = check("zero-twice-per-column")
