@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 budget exhausted or no method/solution.  Arrays are always re-verified
-before emission, and stdout is byte-identical across identical runs.
+3 budget exhausted, no method/solution or out of memory, 130 interrupted.
+Arrays are always re-verified before emission, and stdout is
+byte-identical across identical runs.
 Each command imports only the modules it runs; ``json`` is imported
 only where JSON is read or written.
 """
@@ -62,15 +63,19 @@ EXIT_USAGE = 2
 EXIT_NO_RESULT = 3
 
 # The one place an error becomes an exit code: ``main`` prints
-# ``error: {exc}`` for any of these and returns the first matching code.
-# ValueError covers UnicodeDecodeError from a file that is not UTF-8.
-EXIT_CODES: dict[type[Exception], int] = {
+# ``error: {exc}`` for any of these, or the class name when the error has
+# no text (an interrupt or running out of memory), and returns the first
+# matching code.  ValueError covers UnicodeDecodeError from a file that is
+# not UTF-8.
+EXIT_CODES: dict[type[BaseException], int] = {
     CertificationFailed: EXIT_VERIFY,
     NoSolution: EXIT_NO_RESULT,
     BudgetExhausted: EXIT_NO_RESULT,
     ParseError: EXIT_USAGE,
     ValueError: EXIT_USAGE,
     OSError: EXIT_USAGE,
+    MemoryError: EXIT_NO_RESULT,
+    KeyboardInterrupt: 130,  # the shell's code for an interrupt, 128 + SIGINT
 }
 
 
@@ -311,7 +316,7 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
     except tuple(EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
 
 

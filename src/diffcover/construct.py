@@ -24,8 +24,18 @@ class BadParams(DesignError):
     combinator input fails its verifier or shape requirements."""
 
 
-def _reduced_dca(order: int, rows: list[tuple[int, int, int]]) -> ResidueArray:
-    return ResidueArray.from_rows(Kind.DCA, order, rows, form=Form.REDUCED)
+def _affine_dca(
+    n: int, bounds: tuple[int, ...], slopes: tuple[int, ...], offsets: tuple[tuple[int, ...], ...]
+) -> ResidueArray:
+    """Reduced DCA of order n given as a piece table: row r of piece p, the
+    rows [bounds[p], bounds[p+1]), holds offsets[p][j] + slopes[j]*r mod n
+    in column j."""
+    pieces = list(zip(bounds, bounds[1:], offsets))
+    columns = [
+        [v % n for lo, hi, o in pieces for v in range(o[j] + s * lo, o[j] + s * hi, s)]
+        for j, s in enumerate(slopes)
+    ]
+    return ResidueArray.from_rows(Kind.DCA, n, zip(*columns), form=Form.REDUCED)
 
 
 def construct_odd(m: int, f: int) -> ResidueArray:
@@ -50,22 +60,10 @@ def construct_odd(m: int, f: int) -> ResidueArray:
     # Consequences of the assumptions; failures would be internal bugs.
     assert gcd(f, m) == 1 and gcd(f + 1, m) == 1 and gcd(f - 1, m) == 1
     assert gcd(2 * f + 1, m) == 1 and (m * f) % n == 0
-    rows = []
-    for a in range(n):
-        # The four intervals [0, m+f], [m+f+1, m-1], [m, m-f-1], [m-f, n-1]
-        # mod n; with m+3 <= f <= 2m-4 they split [0, n) at f-m+1, m and 3m-f.
-        idx = (a > f - m) + (a >= m) + (a >= 3 * m - f)
-        b = (a * f + m) if idx < 2 else ((a + 1) * f + m - 1)
-        if idx == 0:
-            c = -(a - 1) * (f + 1) - 2
-        elif idx == 1:
-            c = -(a - 1) * (f + 1) + m - 2
-        elif idx == 2:
-            c = -a * (f + 1) + m
-        else:
-            c = -a * (f + 1)
-        rows.append((a, b % n, c % n))
-    return _reduced_dca(n, rows)
+    # The four intervals [0, m+f], [m+f+1, m-1], [m, m-f-1], [m-f, n-1] mod n;
+    # with m+3 <= f <= 2m-4 they split [0, n) at f-m+1, m and 3m-f.
+    offsets = ((0, m, f - 1), (0, m, f + m - 1), (0, f + m - 1, m), (0, f + m - 1, 0))
+    return _affine_dca(n, (0, f - m + 1, m, 3 * m - f, n), (1, f, -(f + 1)), offsets)
 
 
 def params_odd(i: int) -> tuple[int, int]:
@@ -92,20 +90,8 @@ def construct_4m_general(m: int, f: int) -> ResidueArray:
     assert gcd(2 * m + 2 - f, n) == 4 and gcd(2 * m - f + 1, n) == 1
     assert gcd(2 * m - 2 * f + 2, n) == 2 and (m * f - 2 * m) % n == 0
     t = 2 * m - f + 2
-    rows = []
-    for a in range(n):
-        idx = a // m
-        b = (a + 1) * f - 1 if idx < 2 else a * f
-        if idx == 0:
-            c = (a + 1) * t - 1
-        elif idx == 1:
-            c = a * t - m
-        elif idx == 2:
-            c = (a + 1) * t + m - 1
-        else:
-            c = a * t
-        rows.append((a, b % n, c % n))
-    return _reduced_dca(n, rows)
+    offsets = ((0, f - 1, t - 1), (0, f - 1, -m), (0, 0, t + m - 1), (0, 0, 0))
+    return _affine_dca(n, (0, m, 2 * m, 3 * m, n), (1, f, t), offsets)
 
 
 def construct_4m(k: int) -> ResidueArray:
@@ -115,9 +101,6 @@ def construct_4m(k: int) -> ResidueArray:
         raise BadParams(f"index must be non-negative and not 1 mod 3, got {k}")
     m = 4 * k + 2
     return construct_4m_general(m, 2 * m - 2)
-
-
-_SIX_MU_A_OFFSETS = (4, 2, 4, 3, 1, 3)  # 3*alpha + offset (+3*mu on even pieces)
 
 
 def construct_6mu(mu: int) -> ResidueArray:
@@ -130,23 +113,10 @@ def construct_6mu(mu: int) -> ResidueArray:
     if mu < 1 or mu % 2 == 0:
         raise BadParams(f"mu must be an odd positive integer, got {mu}")
     n = 6 * mu + 4
-    bounds = [
-        (0, mu - 1),
-        (mu, 2 * mu),
-        (2 * mu + 1, 3 * mu + 1),
-        (3 * mu + 2, 4 * mu + 2),
-        (4 * mu + 3, 5 * mu + 2),
-        (5 * mu + 3, 6 * mu + 3),
-    ]
-    rows = []
-    for idx, (lo, hi) in enumerate(bounds):
-        high_piece = idx in (0, 2, 3, 5)
-        for alpha in range(lo, hi + 1):
-            a = 3 * alpha + _SIX_MU_A_OFFSETS[idx] + (3 * mu if high_piece else 0)
-            b = 3 * alpha * (mu + 1) + (2 * mu + 2 if idx < 3 else 2 * mu + 1)
-            c = alpha * (3 * mu + 4) + 5 * mu + 4
-            rows.append((a % n, b % n, c % n))
-    arr = _reduced_dca(n, rows)
+    h, b, c = 3 * mu, 2 * mu + 2, 5 * mu + 4
+    bounds = (0, mu, 2 * mu + 1, 3 * mu + 2, 4 * mu + 3, 5 * mu + 3, n)
+    offsets = ((h + 4, b, c), (2, b, c), (h + 4, b, c), (h + 3, b - 1, c), (1, b - 1, c), (h + 3, b - 1, c))
+    arr = _affine_dca(n, bounds, (3, h + 3, h + 4), offsets)
     if sorted(arr.column(0)) != list(range(n)):
         raise CertificationFailed(f"six-mu column 0 is not a permutation at order {n}")
     return arr

@@ -765,3 +765,35 @@ def test_short_read_of_stdout_is_success(argv, tmp_path):
     assert len(head) == 100
     assert proc.returncode == 0
     assert b"error" not in err and b"Traceback" not in err
+
+
+def test_reader_closed_before_the_flush_is_success():
+    # With buffered stdout nothing reaches the pipe before main's flush, so
+    # a reader that closes at once makes that flush raise; main points
+    # stdout at devnull and still exits 0 without a word on stderr.
+    env = dict(os.environ, PYTHONPATH=str(Path(diffcover.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "diffcover", "spectrum", "--min", "6", "--max", "6"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, b"")
+
+
+@pytest.mark.parametrize(
+    "name, exc, argv, code, line",
+    [
+        ("search_hdm", KeyboardInterrupt, ["search", "--hdm", "22,2"], 130, "error: KeyboardInterrupt\n"),
+        ("construct_by_method", MemoryError, ["construct", "--order", "26"], 3, "error: MemoryError\n"),
+    ],
+    ids=["interrupt", "out-of-memory"],
+)
+def test_errors_without_text_are_one_named_line(name, exc, argv, code, line, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(diffcover.cli, name, fail)
+    assert main(argv) == code
+    assert capsys.readouterr() == ("", line)

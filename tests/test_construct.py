@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import pytest
 
 from diffcover.construct import (
     ASYMPTOTIC_THRESHOLD,
+    METHODS,
     RECORD,
     BadParams,
     construct_4m,
@@ -22,7 +24,7 @@ from diffcover.construct import (
     params_odd,
     spectrum_report,
 )
-from diffcover.core import Form, Kind, NoSolution, ResidueArray
+from diffcover.core import Form, Kind, NoSolution, ResidueArray, write_array
 from diffcover.search import search_third_column
 from diffcover.tables import SEARCHED_THIRD_COLUMNS, odd_even_column
 from diffcover.verify import verify_dca, verify_dm, verify_hdm
@@ -130,6 +132,25 @@ def test_construct_6mu():
     for bad in (2, 0, -3):
         with pytest.raises(BadParams):
             construct_6mu(bad)
+
+
+# The first 16 hex digits of sha256(write_array(...)) for arrays of every
+# family, and a general (m, f) outside the odd-f subfamily: another valid
+# DCA would pass every structural test, so these pin the exact rows.
+@pytest.mark.parametrize(
+    "build, args, digest",
+    [
+        (construct_6mu, (1,), "39ebc38f5584ed76"),
+        (construct_6mu, (3,), "2271fa74a047c644"),
+        (construct_6mu, (101,), "f00d1dafa398bd8e"),
+        (construct_4m, (2,), "c9af2b3c540fce46"),
+        (construct_4m, (3,), "b99eca3d72e879e5"),
+        (construct_odd, params_odd(1), "b57cc125ded3124e"),
+        (construct_odd, (19, 26), "3e64bf652c510596"),
+    ],
+)
+def test_family_rows_are_pinned(build, args, digest):
+    assert hashlib.sha256(write_array(build(*args)).encode()).hexdigest()[:16] == digest
 
 
 def test_table_method(b_reduced):
@@ -282,7 +303,7 @@ def test_registry_agrees_with_construction():
     # in priority order, and auto dispatch returns the first of them.
     for order in range(6, 1001, 2):
         built = {}
-        for name in ("table", "odd-f", "four-m", "six-mu"):
+        for name in (m.name for m in METHODS):
             try:
                 arr, tag = construct_by_method(order, name)
             except NoSolution:
