@@ -24,11 +24,34 @@ interval is positive, and once more at the end unless the budget runs
 out with nothing found), and for the third-column search
 ``result_limit`` (stop after this many solutions).
 
+Budget and status share one compare per node: ``nodes >= stop_at``,
+where ``stop_at`` is the smaller of ``node_budget + 1`` and the next
+multiple of the interval.
+
+Deep subtrees are counted on forked workers.  Each search splits at a
+fixed depth (row n // 3 of the third column, (n - h) // 2 assigned rows of
+the HDM) into subtrees numbered in depth-first order.  After ``_WARMUP``
+nodes alone, the main process forks one worker per available CPU (at most
+eight).  Each worker walks the same shallow rows on a thread of its own,
+claims the next subtree that no worker has claimed through a counter in
+shared memory, counts it with status off and posts its node count, or -1
+when it holds a solution or the worker stopped inside it.  The main
+process keeps its own depth-first search for the shallow rows; at each
+subtree it adds the posted count when that passes neither the budget nor a
+multiple of the status interval, and otherwise searches the subtree
+itself.  Node counts, status events, solutions and exceptions are
+therefore those of the sequential search, although events may arrive in
+bursts.  A search runs alone when
+``os.fork`` is missing or fails, when fewer than two CPUs are available,
+when another thread is running, or when the status interval is shorter
+than the warm-up.  Workers are killed and reaped on every way out.
+
 Searches never self-certify; callers verify outputs independently.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 from typing import Callable
 
@@ -41,6 +64,143 @@ StatusFn = Callable[[dict[str, int]], None]
 # Frames left below the recursion limit for the search's callers and its
 # status callback.
 _CALLER_FRAMES = 100
+
+# Nodes a search runs alone before it forks workers: forking costs a few
+# milliseconds, and most searches end sooner.
+_WARMUP = 1 << 17
+_MAX_WORKERS = 8
+
+
+class _Workers:
+    """Forked processes that count a search's subtrees ahead of it.
+
+    The search calls ``count`` at every node of its split depth, with the
+    arguments of that node's call.  ``run(args, stop)``, called only in a
+    worker, searches from ``dfs(*args)`` with its own node count and
+    ``stop`` as the stop, and returns that count, or -1 when it found a
+    solution; ``root`` holds the arguments of the search's first call.
+    """
+
+    def __init__(self, run: Callable, root: tuple, node_budget: int, every: int) -> None:
+        self.run, self.root, self.node_budget, self.every = run, root, node_budget, every
+        self.t = -1  # the subtree the process is at, in depth-first order
+        self.pids: list[int] | None = None  # None until the fork is tried
+        self.posts = None  # read end of the pipe the workers post to
+        self.counts: dict[int, int] = {}
+
+    def count(self, nodes: int, stop_at: int, args: tuple) -> int | None:
+        """Enter the next subtree: its posted node count when adding that
+        to ``nodes`` stays below ``stop_at``, else None, and the caller
+        searches the subtree itself."""
+        self.t += 1
+        if self.pids is None:
+            if nodes >= _WARMUP:
+                self._start()
+            return None
+        # Some worker claims each later subtree and posts once for it,
+        # unless it is killed; the pipe's end then reads empty.
+        while self.pids and self.t not in self.counts:
+            line = self.posts.readline()
+            if not line:
+                break
+            t, c = line.split()
+            self.counts[int(t)] = int(c)
+        c = self.counts.pop(self.t, -1)
+        return c if 0 <= c < stop_at - nodes else None
+
+    def _start(self) -> None:
+        """Fork the workers, which take the subtrees after this one,
+        unless the search should run alone."""
+        self.pids = []
+        threading = sys.modules.get("threading")
+        if (0 < self.every < _WARMUP or not hasattr(os, "fork")
+                or threading is not None and threading.active_count() > 1):
+            return
+        try:
+            cpus = len(os.sched_getaffinity(0))
+        except AttributeError:
+            cpus = os.cpu_count() or 1
+        if cpus < 2:
+            return
+        import mmap
+
+        # The first subtree no worker has claimed.  Two workers may claim
+        # one subtree at once; both count it, and the counts agree.
+        self.claimed = memoryview(mmap.mmap(-1, 8)).cast("Q")
+        self.claimed[0] = self.t + 1
+        r, w = os.pipe()
+        for _ in range(min(cpus, _MAX_WORKERS)):
+            try:
+                pid = os.fork()
+            except OSError:
+                break
+            if not pid:
+                self._serve(r, w)
+            self.pids.append(pid)
+        os.close(w)
+        self.posts = open(r, "rb")
+
+    def _serve(self, r: int, w: int) -> None:
+        """A worker's life, which ends in os._exit, so that it never
+        returns, prints or flushes: walk the shallow rows from the root
+        and count each subtree it claims there.  Every claimed subtree
+        gets one post, also when the worker stops inside it."""
+        busy = None  # the subtree being counted
+
+        def claim(nodes: int, stop_at: float, args: tuple) -> int | None:
+            nonlocal busy
+            if busy is not None:
+                return None  # the first call of the subtree being counted
+            self.t += 1
+            t = self.t
+            if t < self.claimed[0]:
+                return 0
+            self.claimed[0] = t + 1
+            busy, c = t, -1
+            try:
+                c = self.run(args, self.node_budget + 1)
+            except BudgetExhausted:
+                pass
+            finally:
+                busy = None
+                os.write(w, b"%d %d\n" % (t, c))
+            return 0
+
+        def walk() -> None:
+            try:
+                self.run(self.root, float("inf"))
+            finally:
+                os._exit(0)
+
+        try:
+            import threading
+
+            os.close(r)
+            self.t, self.count = -1, claim
+            # The walk runs on a new thread, whose frames start on an empty
+            # stack.  Stacked on the caller's frames, the worker's deeper
+            # recursion can straddle a boundary of CPython's frame-stack
+            # chunks, which then maps and unmaps a chunk on nearly every
+            # node: a caller 64 frames deep made the workers three times
+            # slower.
+            thread = threading.Thread(target=walk)
+            thread.start()
+            thread.join()
+        finally:
+            if busy is not None:  # a signal stopped the worker
+                os.write(w, b"%d -1\n" % busy)
+            os._exit(0)
+
+    def close(self) -> None:
+        """Kill and reap every worker."""
+        if self.pids:
+            import signal
+
+            for pid in self.pids:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        if self.posts is not None:
+            self.posts.close()
 
 
 def _check_settings(node_budget: int, status_interval: int, result_limit: int | None = None) -> None:
@@ -100,22 +260,35 @@ def search_third_column(
     solutions: list[tuple[int, ...]] = []
     nodes = 0
     every = status_interval if status is not None else 0
+    # The node at which the budget runs out or the next status is due.
+    stop_at = min(node_budget + 1, every or node_budget + 1)
+    split = n // 3
+
+    def tick(depth: int) -> None:
+        nonlocal stop_at
+        if nodes > node_budget:
+            raise BudgetExhausted(f"no solution within {node_budget} nodes")
+        status({"nodes": nodes, "depth": depth, "solutions": len(solutions)})
+        stop_at = min(node_budget + 1, nodes + every)
 
     def dfs(i: int, free: int, a0: int, a1: int) -> bool:
         nonlocal nodes
         if i == n:
             solutions.append(tuple(column))
             return len(solutions) == result_limit
+        if i == split:
+            c = workers.count(nodes, stop_at, (i, free, a0, a1))
+            if c is not None:
+                nodes += c
+                return False
         c1 = col1[i]
         cand = free & a0 >> n - i & a1 >> n - c1
         while cand:
             b = cand & -cand
             cand ^= b
             nodes += 1
-            if nodes > node_budget:
-                raise BudgetExhausted(f"no solution within {node_budget} nodes")
-            if every and not nodes % every:
-                status({"nodes": nodes, "depth": i, "solutions": len(solutions)})
+            if nodes >= stop_at:
+                tick(i)
             v = b.bit_length() - 1
             column[i] = v
             u0 = dbl[v - i] or (spare if a0 & spare else half)
@@ -124,13 +297,27 @@ def search_third_column(
                 return True
         return False
 
+    def run(args: tuple, stop: float) -> int:
+        """A worker's entry; see _Workers."""
+        nonlocal nodes, stop_at, result_limit
+        outer = nodes, stop_at
+        nodes, stop_at, result_limit = 0, stop, 1
+        solutions.clear()
+        try:
+            return -1 if dfs(*args) else nodes
+        finally:
+            nodes, stop_at = outer
+
     # Every difference but 0 has capacity, and n/2 has its spare.
     avail = (full | full << n) ^ dbl[0] | spare
+    workers = _Workers(run, (0, full, avail, avail), node_budget, every)
     try:
         dfs(0, full, avail, avail)
     except BudgetExhausted:
         if not solutions:
             raise
+    finally:
+        workers.close()
     if status is not None:
         status({"nodes": nodes, "depth": n, "solutions": len(solutions)})
     return solutions
@@ -167,11 +354,26 @@ def search_hdm(
     col1 = [0] * n
     col2 = [0] * n
     nodes = 0
+    stop_at = min(node_budget + 1, every or node_budget + 1)
+    split = (n - h) // 2
+
+    def tick(depth: int) -> None:
+        nonlocal stop_at
+        if nodes > node_budget:
+            raise BudgetExhausted(f"no HDM(4,{n};{h}) within {node_budget} nodes")
+        status({"nodes": nodes, "depth": depth, "solutions": 0})
+        stop_at = min(node_budget + 1, nodes + every)
 
     def dfs(pending: list[int], free1: int, free2: int, d10: int, d20: int, d21: int) -> bool:
         nonlocal nodes
         if not pending:
             return True
+        depth = len(nonhole) - len(pending)
+        if depth == split:
+            c = workers.count(nodes, stop_at, (pending, free1, free2, d10, d20, d21))
+            if c is not None:
+                nodes += c
+                return False
         # Most-constrained row first: fewest (b, c) candidate combinations.
         best = -1
         best_score = -1
@@ -188,27 +390,22 @@ def search_hdm(
                 best, best_score, best_mb, best_mc = a, score, mb, mc
         a = best
         rest = [x for x in pending if x != a]
-        depth = len(nonhole) - len(pending)
         mb = best_mb
         while mb:
             b = mb & -mb
             mb ^= b
             bv = b.bit_length() - 1
             nodes += 1
-            if nodes > node_budget:
-                raise BudgetExhausted(f"no HDM(4,{n};{h}) within {node_budget} nodes")
-            if every and not nodes % every:
-                status({"nodes": nodes, "depth": depth, "solutions": 0})
+            if nodes >= stop_at:
+                tick(depth)
             mc = best_mc & d21 >> n - bv
             while mc:
                 c = mc & -mc
                 mc ^= c
                 cv = c.bit_length() - 1
                 nodes += 1
-                if nodes > node_budget:
-                    raise BudgetExhausted(f"no HDM(4,{n};{h}) within {node_budget} nodes")
-                if every and not nodes % every:
-                    status({"nodes": nodes, "depth": depth, "solutions": 0})
+                if nodes >= stop_at:
+                    tick(depth)
                 col1[a] = bv
                 col2[a] = cv
                 if dfs(rest, free1 ^ b, free2 ^ c,
@@ -216,9 +413,24 @@ def search_hdm(
                     return True
         return False
 
+    def run(args: tuple, stop: float) -> int:
+        """A worker's entry; see _Workers."""
+        nonlocal nodes, stop_at
+        outer = nodes, stop_at
+        nodes, stop_at = 0, stop
+        try:
+            return -1 if dfs(*args) else nodes
+        finally:
+            nodes, stop_at = outer
+
     # The allowed differences are the non-hole residues, doubled.
     avail = nonhole_mask | nonhole_mask << n
-    found = dfs(nonhole, nonhole_mask, nonhole_mask, avail, avail, avail)
+    root = (nonhole, nonhole_mask, nonhole_mask, avail, avail, avail)
+    workers = _Workers(run, root, node_budget, every)
+    try:
+        found = dfs(*root)
+    finally:
+        workers.close()
     if status is not None:
         status({"nodes": nodes, "depth": n - h, "solutions": int(found)})
     if not found:

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import resource
 import sys
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
 
+from diffcover import search
 from diffcover.core import Form, Kind, ResidueArray
 from diffcover.search import (
     _CALLER_FRAMES,
@@ -128,14 +132,14 @@ def test_budgets_are_exact():
     # node fewer is not, at each place a node is counted.
     first = THIRD_PINS[14][1]
     assert search_third_column(14, result_limit=1, node_budget=15_994) == [first]
-    with pytest.raises(BudgetExhausted):
+    with pytest.raises(BudgetExhausted, match="^no solution within 15993 nodes$"):
         search_third_column(14, result_limit=1, node_budget=15_993)
     assert search_hdm(14, 2, node_budget=1231).entries == search_hdm(14, 2).entries
-    with pytest.raises(BudgetExhausted):
+    with pytest.raises(BudgetExhausted, match=r"^no HDM\(4,14;2\) within 1230 nodes$"):
         search_hdm(14, 2, node_budget=1230)
     with pytest.raises(NoSolution):
         search_hdm(6, 1, node_budget=150)
-    with pytest.raises(BudgetExhausted):
+    with pytest.raises(BudgetExhausted, match=r"^no HDM\(4,6;1\) within 149 nodes$"):
         search_hdm(6, 1, node_budget=149)
 
 
@@ -214,6 +218,16 @@ def test_status_events_pinned():
         {"nodes": 1000, "depth": 7, "solutions": 0},
         {"nodes": 1231, "depth": 12, "solutions": 1},
     ]
+    # A budget that ends between two multiples: the events before it,
+    # then the exception and no final event.
+    events = []
+    with pytest.raises(BudgetExhausted, match="^no solution within 2500 nodes$"):
+        search_third_column(14, node_budget=2500, status_interval=1000, status=events.append)
+    assert events == [{"nodes": 1000, "depth": 7, "solutions": 0}, {"nodes": 2000, "depth": 5, "solutions": 0}]
+    events = []
+    with pytest.raises(BudgetExhausted, match=r"^no HDM\(4,14;2\) within 1100 nodes$"):
+        search_hdm(14, 2, node_budget=1100, status_interval=1000, status=events.append)
+    assert events == [{"nodes": 1000, "depth": 7, "solutions": 0}]
 
 
 @pytest.mark.parametrize("n, h, every", [(14, 2, 7), (14, 2, 50), (14, 2, 333), (22, 2, 100_000)])
@@ -261,3 +275,143 @@ def test_deepest_admitted_searches_fit_the_recursion_limit():
             search_hdm(16, 2, node_budget=1)
     finally:
         sys.setrecursionlimit(limit)
+
+
+# Workers: each search splits at a fixed depth and counts the subtrees
+# below it on forked processes once it has run search._WARMUP nodes alone.
+# With the warm-up patched to 0 the workers fork at the first subtree,
+# even at order 14, and every result and event must stay the sequential
+# one.
+
+
+def cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """No warm-up; yields the pids of the workers forked, which must be
+    some when two CPUs are available."""
+    monkeypatch.setattr(search, "_WARMUP", 0)
+    fork, pids = os.fork, []
+
+    def spy():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    yield pids
+    assert pids or cpus() < 2
+
+
+PINNED = {
+    "third-14": lambda: test_third_column_pinned(14),
+    "third-18": lambda: test_third_column_pinned(18),
+    "hdm-14-2": lambda: test_hdm_pinned(14, 2),
+    "hdm-18-2": lambda: test_hdm_pinned(18, 2),
+    "status-events": test_status_events_pinned,
+    "hdm-every-7": lambda: test_hdm_status_events_every_interval(14, 2, 7),
+    "hdm-every-333": lambda: test_hdm_status_events_every_interval(14, 2, 333),
+    "budgets": test_budgets_are_exact,
+}
+
+
+@pytest.mark.parametrize("case", PINNED)
+def test_pins_hold_with_workers_at_once(case, forks):
+    PINNED[case]()
+
+
+def test_default_warm_up_keeps_events_and_messages():
+    # Third column 20 and HDM 22,2 with a budget fork after the warm-up;
+    # HDM 22,2 with an interval shorter than the warm-up runs alone.
+    events = []
+    found = search_third_column(20, result_limit=1, status_interval=300_001, status=events.append)
+    assert found == [(2, 0, 7, 14, 17, 1, 18, 8, 15, 13, 19, 6, 10, 16, 11, 5, 4, 3, 12, 9)]
+    assert [(e["nodes"], e["depth"], e["solutions"]) for e in events] == [
+        (300_001, 11, 0), (600_002, 9, 0), (900_003, 13, 0), (1_200_004, 9, 0), (1_376_650, 20, 1),
+    ]
+    events = []
+    arr = search_hdm(22, 2, status_interval=12_345, status=events.append)
+    assert verify_hdm(arr).passed
+    depths = [12, 11, 10, 13, 13, 14, 13, 12, 11, 10, 13, 12, 14, 12, 11, 13, 12, 12, 12, 13, 11, 13,
+              14, 12, 12, 11, 11, 14, 13, 14, 11, 13, 11, 12, 12, 11, 12, 13, 13, 13, 13, 13, 13, 12,
+              14, 13, 13, 13, 14, 12, 13, 12, 13, 15, 13, 12]
+    assert events == [
+        {"nodes": 12_345 * (j + 1), "depth": d, "solutions": 0} for j, d in enumerate(depths)
+    ] + [{"nodes": 694_407, "depth": 20, "solutions": 1}]
+    # The budget ends on a multiple of the interval: that event comes,
+    # then the exception.
+    events = []
+    with pytest.raises(BudgetExhausted, match=r"^no HDM\(4,22;2\) within 400000 nodes$"):
+        search_hdm(22, 2, node_budget=400_000, status_interval=200_000, status=events.append)
+    assert events == [
+        {"nodes": 200_000, "depth": 12, "solutions": 0},
+        {"nodes": 400_000, "depth": 13, "solutions": 0},
+    ]
+
+
+def interrupt(event: dict[str, int]) -> None:
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize(
+    "search_to_its_end, error",
+    [
+        (lambda: search_third_column(14, result_limit=1), None),
+        (lambda: search_hdm(6, 1), NoSolution),
+        (lambda: search_hdm(14, 2, node_budget=1000), BudgetExhausted),
+        (lambda: search_third_column(14, status_interval=5000, status=interrupt), KeyboardInterrupt),
+    ],
+    ids=["solution", "no-solution", "budget", "interrupt"],
+)
+def test_no_worker_outlives_its_search(search_to_its_end, error, forks):
+    if error is None:
+        search_to_its_end()
+    else:
+        with pytest.raises(error):
+            search_to_its_end()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_workers_keep_their_speed_below_deep_callers(forks):
+    # Stacked on the caller's frames, a worker's recursion could straddle
+    # a boundary of CPython's frame-stack chunks and map a fresh chunk on
+    # nearly every node.  Its walk runs on a thread of its own, so its
+    # page faults do not depend on how deep the caller is.
+    def at_depth(k, search):
+        return search() if k == 0 else at_depth(k - 1, search)
+
+    faults = []
+    for k in range(0, 128, 4):
+        before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+        assert at_depth(k, lambda: search_third_column(18, result_limit=1)) == [THIRD_PINS[18][1]]
+        faults.append(resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before)
+    assert max(faults) <= 2 * min(faults) + 1000, faults
+
+
+@pytest.mark.parametrize("unsafe", ["one-cpu", "thread", "short-interval"])
+def test_unsafe_searches_run_alone(unsafe, monkeypatch):
+    # Each search would fork at its first subtree, but one CPU, a live
+    # thread or a status interval shorter than the warm-up (1000 < 1001
+    # nodes) keeps it alone, with the same events.
+    monkeypatch.setattr(search, "_WARMUP", 1001 if unsafe == "short-interval" else 0)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    if unsafe == "one-cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait, args=(30,))
+    if unsafe == "thread":
+        thread.start()
+    try:
+        test_status_events_pinned()
+    finally:
+        done.set()
+        if unsafe == "thread":
+            thread.join(30)
+            assert not thread.is_alive()
