@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import _thread
+import contextlib
 import os
 import resource
+import signal
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -279,9 +283,9 @@ def test_deepest_admitted_searches_fit_the_recursion_limit():
 
 # Workers: each search splits at a fixed depth and counts the subtrees
 # below it on forked processes once it has run search._WARMUP nodes alone.
-# With the warm-up patched to 0 the workers fork at the first subtree,
-# even at order 14, and every result and event must stay the sequential
-# one.
+# With the warm-up and search._SHORT_INTERVAL patched to 0 the workers
+# fork at the first subtree, even at order 14 and with any interval, and
+# every result and event must stay the sequential one.
 
 
 def cpus() -> int:
@@ -293,9 +297,10 @@ def cpus() -> int:
 
 @pytest.fixture
 def forks(monkeypatch):
-    """No warm-up; yields the pids of the workers forked, which must be
-    some when two CPUs are available."""
+    """No warm-up and no short interval; yields the pids of the workers
+    forked, which must be some when two CPUs are available."""
     monkeypatch.setattr(search, "_WARMUP", 0)
+    monkeypatch.setattr(search, "_SHORT_INTERVAL", 0)
     fork, pids = os.fork, []
 
     def spy():
@@ -327,8 +332,8 @@ def test_pins_hold_with_workers_at_once(case, forks):
 
 
 def test_default_warm_up_keeps_events_and_messages():
-    # Third column 20 and HDM 22,2 with a budget fork after the warm-up;
-    # HDM 22,2 with an interval shorter than the warm-up runs alone.
+    # Each search forks after the warm-up, and HDM 22,2 at interval 12,345
+    # has 56 multiples among its 3,207 subtrees.
     events = []
     found = search_third_column(20, result_limit=1, status_interval=300_001, status=events.append)
     assert found == [(2, 0, 7, 14, 17, 1, 18, 8, 15, 13, 19, 6, 10, 16, 11, 5, 4, 3, 12, 9)]
@@ -395,12 +400,141 @@ def test_workers_keep_their_speed_below_deep_callers(forks):
     assert max(faults) <= 2 * min(faults) + 1000, faults
 
 
-@pytest.mark.parametrize("unsafe", ["one-cpu", "thread", "short-interval"])
+class Tee:
+    """The workers' pipe, keeping each post the main process reads."""
+
+    def __init__(self, posts, lines: list[bytes]) -> None:
+        self.posts, self.lines = posts, lines
+
+    def readline(self) -> bytes:
+        line = self.posts.readline()
+        self.lines.append(line)
+        return line
+
+    def close(self) -> None:
+        self.posts.close()
+
+
+@pytest.fixture
+def posts(monkeypatch):
+    """The posts the main process reads from its workers, in order."""
+    lines = []
+
+    class Workers(search._Workers):
+        def _start(self, nodes):
+            super()._start(nodes)
+            if self.posts is not None:
+                self.posts = Tee(self.posts, lines)
+
+    monkeypatch.setattr(search, "_Workers", Workers)
+    return lines
+
+
+@pytest.mark.parametrize(
+    "search_to_its_end, warm_up, cap",
+    [
+        (lambda: search_third_column(18, result_limit=1, status_interval=100, status=len), 0, 100),
+        (lambda: search_hdm(18, 2, status_interval=50, status=len), 0, 50),
+        (lambda: search_third_column(18, node_budget=2400), 2365, 36),
+        (lambda: search_hdm(18, 2, node_budget=1960), 1936, 25),
+    ],
+    ids=["third-interval", "hdm-interval", "third-budget", "hdm-budget"],
+)
+def test_workers_stop_where_a_count_stops_being_of_use(search_to_its_end, warm_up, cap, forks, posts, monkeypatch):
+    # A count that reaches the next status multiple or the budget's end is
+    # never added, so a worker stops its subtree there and posts -1: the
+    # main process waits for no more than that before it searches the
+    # subtree itself.  In the budget cases the workers fork at a split
+    # node 35 (third column) or 24 (HDM) nodes before the budget's end,
+    # and the next subtree is larger than that.
+    monkeypatch.setattr(search, "_WARMUP", warm_up)
+    with contextlib.suppress(BudgetExhausted):
+        search_to_its_end()
+    counts = [int(line.split()[1]) for line in posts if line]
+    assert counts or cpus() < 2
+    assert all(-1 <= c < cap for c in counts), max(counts)
+    assert -1 in counts or cpus() < 2
+
+
+def test_more_workers_than_cpus_count_every_subtree(forks, posts, monkeypatch):
+    # Six workers race for the shared claim counter over the whole space
+    # of order 14.  A lost claim makes two workers count one subtree, and
+    # their counts must agree; a subtree that no worker claimed would leave
+    # the main process reading the pipe to its end.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(6)), raising=False)
+    events = []
+    found = search_third_column(14, status_interval=0, status=events.append)
+    assert len(forks) == 6
+    assert (len(found), found == sorted(found)) == (82, True)
+    assert events == [{"nodes": 600_918, "depth": 14, "solutions": 82}]
+    assert b"" not in posts
+    counts = {}
+    for line in posts:
+        t, c = line.split()
+        assert counts.setdefault(t, c) == c
+    assert len(counts) > 1000, len(counts)
+
+
+def test_workers_ignore_sigint_and_sigterm(forks):
+    # Workers are born with both blocked, so no handler of the caller's
+    # runs in one; the search's own end kills them.
+    alive = []
+
+    def poke(event):
+        for pid in forks:
+            os.kill(pid, signal.SIGINT)
+            os.kill(pid, signal.SIGTERM)
+        time.sleep(0.05)
+        alive.extend(os.waitpid(pid, os.WNOHANG) == (0, 0) for pid in forks)
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        search_third_column(22, status_interval=10_000, status=poke)
+    assert alive == [True] * len(forks)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_worker_reaped_elsewhere_is_no_error(forks, monkeypatch):
+    # With SIGCHLD ignored, a worker that ends by itself is reaped at once.
+    # Each kill waits for its worker to finish its walk, so every worker
+    # is gone before the search kills it.
+    kill = os.kill
+
+    def late_kill(pid, sig):
+        deadline = time.monotonic() + 30
+        with contextlib.suppress(ProcessLookupError):
+            while time.monotonic() < deadline:
+                kill(pid, 0)
+                time.sleep(0.01)
+        kill(pid, sig)
+
+    monkeypatch.setattr(os, "kill", late_kill)
+    ignored = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        with pytest.raises(NoSolution):
+            search_hdm(6, 1)
+    finally:
+        signal.signal(signal.SIGCHLD, ignored)
+
+
+def wait_for_one_thread() -> None:
+    """A joined thread can outlive its join for a moment; wait until it
+    is gone, so that the next search may fork."""
+    deadline = time.monotonic() + 30
+    while search._threads() > 1 and time.monotonic() < deadline:
+        time.sleep(0.001)
+
+
+@pytest.mark.parametrize("unsafe", ["one-cpu", "thread", "os-thread", "short-interval"])
 def test_unsafe_searches_run_alone(unsafe, monkeypatch):
     # Each search would fork at its first subtree, but one CPU, a live
-    # thread or a status interval shorter than the warm-up (1000 < 1001
-    # nodes) keeps it alone, with the same events.
-    monkeypatch.setattr(search, "_WARMUP", 1001 if unsafe == "short-interval" else 0)
+    # thread (also one the threading module does not know of) or a status
+    # interval below search._SHORT_INTERVAL (1000 < 5000 nodes) keeps it
+    # alone, with the same events.
+    monkeypatch.setattr(search, "_WARMUP", 0)
+    if unsafe != "short-interval":
+        monkeypatch.setattr(search, "_SHORT_INTERVAL", 0)
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
     if unsafe == "one-cpu":
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
@@ -408,10 +542,16 @@ def test_unsafe_searches_run_alone(unsafe, monkeypatch):
     thread = threading.Thread(target=done.wait, args=(30,))
     if unsafe == "thread":
         thread.start()
+    held = _thread.allocate_lock()
+    held.acquire()
+    if unsafe == "os-thread":
+        _thread.start_new_thread(held.acquire, (True, 30))
     try:
         test_status_events_pinned()
     finally:
         done.set()
+        held.release()
         if unsafe == "thread":
             thread.join(30)
             assert not thread.is_alive()
+        wait_for_one_thread()
