@@ -15,7 +15,9 @@ column pairs within their difference capacities: 0 for the zero residue,
 HDM search: columns 1 and 2 are assigned jointly row by row; the next row
 is the pending one with the fewest remaining (value, value) options, with
 ties and candidates resolved in ascending order.  Row choice affects only
-speed, never the set of solutions, and is deterministic.
+speed, never the set of solutions, and is deterministic.  The pending rows
+are held as the shifts of their masks, n - a for row a, so the scan over
+them subtracts nothing.
 
 Both searches take their settings as keyword arguments: ``node_budget``
 (nodes before BudgetExhausted), ``status_interval`` and ``status`` (a
@@ -31,23 +33,26 @@ multiple of the interval.
 Deep subtrees are counted on forked workers.  Each search splits at a
 fixed depth (row n // 3 of the third column, (n - h) // 2 assigned rows of
 the HDM) into subtrees numbered in depth-first order.  After ``_WARMUP``
-nodes alone, the main process forks one worker per available CPU (at most
-eight).  Each worker walks the same shallow rows on a thread of its own,
-claims the next subtree that no worker has claimed through a counter in
-shared memory, counts it with status off and posts its node count, or -1
-when it holds a solution or the worker stopped inside it.  The main
-process keeps its own depth-first search for the shallow rows; at each
-subtree it adds the posted count when that passes neither the budget nor a
-multiple of the status interval, and otherwise searches the subtree
+(4,096) nodes alone, the main process forks one worker per available CPU
+(at most eight).  Each worker walks the same shallow rows on a thread of
+its own, claims the next subtree that no worker has claimed through a
+counter in shared memory, counts it with status off and posts its node
+count, or -1 when it holds a solution or the worker stopped inside it.
+The main process keeps its own depth-first search for the shallow rows; at
+each subtree it adds the posted count when that passes neither the budget
+nor a multiple of the status interval, and otherwise searches the subtree
 itself.  Node counts, status events, solutions and exceptions are
 therefore those of the sequential search, although events may arrive in
-bursts.  A worker stops counting a subtree where its count would pass
-the budget's end or the next status multiple, and posts -1.  A search
-runs alone when ``os.fork`` is missing or fails, when fewer than two CPUs
-are available, when another thread is running, or when the status
-interval is below ``_SHORT_INTERVAL`` (5,000) nodes.  Workers are born
-with SIGINT and SIGTERM blocked, and are killed and reaped on every way
-out.
+bursts.  A worker stops counting a subtree where its count would pass the
+budget's end or the next status multiple, and posts -1.  A search runs
+alone when ``os.fork`` is missing or fails, when fewer than two CPUs are
+available, when another thread is running, or when the status interval is
+below ``_SHORT_INTERVAL`` (5,000) nodes.  Workers are born with SIGINT and
+SIGTERM blocked, and are killed and reaped on every way out.  A worker
+that dies without posting a claim, killed by a signal or ending with a
+status other than 0, is found within ``_PATIENCE_MS`` (100 ms) of waiting
+for a post; the main process then ends the other workers and searches the
+rest alone.
 
 Searches never self-certify; callers verify outputs independently.
 """
@@ -56,6 +61,7 @@ from __future__ import annotations
 
 import os
 import sys
+import time
 from typing import Callable
 
 from .core import BudgetExhausted, Kind, NoSolution, ResidueArray
@@ -68,9 +74,17 @@ StatusFn = Callable[[dict[str, int]], None]
 # status callback.
 _CALLER_FRAMES = 100
 
-# Nodes a search runs alone before it forks workers: forking costs a few
-# milliseconds, and most searches end sooner.
-_WARMUP = 1 << 17
+# Nodes a search runs alone before it forks workers.  Forking, the
+# workers' first copied pages and reaping them cost 10-15 ms on two
+# vCPUs, so a search this small ends sooner alone: third column 12 (3,919
+# nodes) and HDM 12,2 (3,903) never fork.  Searches of 10,000 to 16,000
+# nodes take 8-22 ms longer forked than alone (third column 14 22 against
+# 10 ms, medians of 15 interleaved runs), searches of about 50,000 nodes
+# and up gain (third column 18 33 against 45 ms, HDM 18,2 262 against
+# 313 ms).  At 131,072, third column 22 and HDM 22,2 ran their first
+# 0.08-0.22 s on one CPU; from 4,096 the benchmark's `search` workload
+# took 13.6 % less wall time (BENCH_23.json).
+_WARMUP = 1 << 12
 # A search with a shorter status interval runs alone: fewer counts fit
 # between two multiples, and the main process searches more subtrees
 # again.  On two vCPUs, workers made the third-column searches of orders
@@ -78,6 +92,10 @@ _WARMUP = 1 << 17
 # 30 % faster at 5,000 (medians of five runs).
 _SHORT_INTERVAL = 5000
 _MAX_WORKERS = 8
+# How long the main process waits on the pipe before it looks for a dead
+# worker.  A wait this long is rare: subtrees of the searches here take
+# microseconds to milliseconds.
+_PATIENCE_MS = 100
 
 
 class _Workers:
@@ -99,7 +117,8 @@ class _Workers:
         self.run, self.root, self.node_budget, self.every = run, root, node_budget, every
         self.t = -1  # the subtree the process is at, in depth-first order
         self.pids: list[int] | None = None  # None until the fork is tried
-        self.posts = None  # read end of the pipe the workers post to
+        self.posts: int | None = None  # read end of the pipe the workers post to
+        self.part = b""  # the start of a post whose end is still in the pipe
         self.counts: dict[int, int] = {}
 
     def count(self, nodes: int, stop_at: int, args: tuple) -> int | None:
@@ -112,15 +131,51 @@ class _Workers:
                 self._start(nodes)
             return None
         # Some worker claims each later subtree and posts once for it,
-        # unless it is killed; the pipe's end then reads empty.
-        while self.pids and self.t not in self.counts:
-            line = self.posts.readline()
-            if not line:
-                break
-            t, c = line.split()
-            self.counts[int(t)] = int(c)
+        # unless it dies; the workers are then ended and the pipe closed.
+        if self.posts is not None and self.t not in self.counts:
+            self._take()
         c = self.counts.pop(self.t, -1)
         return c if 0 <= c < stop_at - nodes else None
+
+    def _take(self) -> None:
+        """Wait until subtree t is posted, taking in every post that comes
+        meanwhile; each read's posts are all taken in, so none waits in a
+        buffer while this waits on the pipe.  After each ``_PATIENCE_MS``
+        of waiting, look for a worker that died and may hold a claim it
+        never posted.  When there is one, or every worker has ended, end
+        the rest: the search goes on alone."""
+        check = time.monotonic() + _PATIENCE_MS / 1000
+        while self.t not in self.counts:
+            if self.poll.poll(_PATIENCE_MS):
+                data = os.read(self.posts, 1 << 16)
+                if not data:
+                    break
+                *lines, self.part = (self.part + data).split(b"\n")
+                for line in lines:
+                    t, c = line.split()
+                    self.counts[int(t)] = int(c)
+            if time.monotonic() >= check:
+                if self._died():
+                    break
+                check = time.monotonic() + _PATIENCE_MS / 1000
+        else:
+            return
+        self.close()
+
+    def _died(self) -> bool:
+        """Reap the workers that have ended, and tell whether one ended
+        other than by finishing its walk, which it ends with status 0
+        after posting every claim."""
+        for pid in self.pids[:]:
+            try:
+                done, status = os.waitpid(pid, os.WNOHANG)
+            except ChildProcessError:
+                done, status = pid, -1  # reaped elsewhere: how it ended is unknown
+            if done:
+                self.pids.remove(pid)
+                if status:
+                    return True
+        return False
 
     def _start(self, nodes: int) -> None:
         """Fork the workers, which take the subtrees after this one,
@@ -135,6 +190,7 @@ class _Workers:
         if cpus < 2:
             return
         import mmap
+        import select
         import signal
 
         # A count is of use only below the next status multiple and the
@@ -158,14 +214,18 @@ class _Workers:
             pass  # the workers forked so far claim every subtree
         finally:
             os.close(w)
-            self.posts = open(r, "rb")
+            self.posts = r
+            self.poll = select.poll()
+            self.poll.register(r, select.POLLIN)
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
     def _serve(self, cap: int, r: int, w: int) -> None:
         """A worker's life, which ends in os._exit, so that it never
         returns, prints or flushes: walk the shallow rows from the root
         and count each subtree it claims there up to ``cap`` nodes.  Every
-        claimed subtree gets one post: its count, or -1."""
+        claimed subtree gets one post: its count, or -1.  The status is 0
+        only after the whole walk, when every subtree is claimed and each
+        claim posted, and 1 on any other way out."""
         try:
             import threading
 
@@ -192,8 +252,9 @@ class _Workers:
             def walk() -> None:
                 try:
                     self.run(self.root, float("inf"))
-                finally:
                     os._exit(0)
+                finally:
+                    os._exit(1)
 
             self.t, self.count = -1, claim
             # The walk runs on a new thread, whose frames start on an empty
@@ -206,24 +267,33 @@ class _Workers:
             thread.start()
             thread.join()
         finally:
-            os._exit(0)
+            os._exit(1)
 
     def close(self) -> None:
-        """Kill and reap every worker.  One that ended by itself may be
-        gone already, when SIGCHLD is ignored or the caller reaped it."""
+        """Kill and reap every worker and close the pipe; the search runs
+        alone from here.  A worker that ended by itself may be gone
+        already, when SIGCHLD is ignored or the caller reaped it."""
         try:
             if self.pids:
                 import signal
 
+                # Every worker stops before any is reaped: reaping one
+                # while the others still run took 3-4 ms instead of 1.
                 for pid in self.pids:
                     try:
                         os.kill(pid, signal.SIGKILL)
+                    except ProcessLookupError:
+                        pass
+                for pid in self.pids:
+                    try:
                         os.waitpid(pid, 0)
-                    except (ProcessLookupError, ChildProcessError):
+                    except ChildProcessError:
                         pass
         finally:
+            self.pids = []
             if self.posts is not None:
-                self.posts.close()
+                os.close(self.posts)
+                self.posts = None
 
 
 def _threads() -> int:
@@ -412,22 +482,23 @@ def search_hdm(
             if c is not None:
                 nodes += c
                 return False
-        # Most-constrained row first: fewest (b, c) candidate combinations.
-        best = -1
-        best_score = -1
-        best_mb = best_mc = 0
-        for a in pending:
-            mb = d10 >> n - a & free1
+        # Most-constrained row first: fewest (b, c) candidate combinations,
+        # the first row in ascending order among ties.  No row has more
+        # than n * n.
+        best_score = n * n + 1
+        for sa in pending:
+            mb = d10 >> sa & free1
             if not mb:
                 return False
-            mc = d20 >> n - a & free2
+            mc = d20 >> sa & free2
             if not mc:
                 return False
             score = mb.bit_count() * mc.bit_count()
-            if best_score < 0 or score < best_score:
-                best, best_score, best_mb, best_mc = a, score, mb, mc
-        a = best
-        rest = [x for x in pending if x != a]
+            if score < best_score:
+                best, best_score, best_mb, best_mc = sa, score, mb, mc
+        rest = pending.copy()
+        rest.remove(best)
+        a = n - best
         mb = best_mb
         while mb:
             b = mb & -mb
@@ -461,9 +532,11 @@ def search_hdm(
         finally:
             nodes, stop_at = outer
 
-    # The allowed differences are the non-hole residues, doubled.
+    # The allowed differences are the non-hole residues, doubled.  Each
+    # pending row a is held as n - a, the shift of its masks, in ascending
+    # order of a.
     avail = nonhole_mask | nonhole_mask << n
-    root = (nonhole, nonhole_mask, nonhole_mask, avail, avail, avail)
+    root = ([n - a for a in nonhole], nonhole_mask, nonhole_mask, avail, avail, avail)
     workers = _Workers(run, root, node_budget, every)
     try:
         found = dfs(*root)

@@ -179,15 +179,27 @@ def test_budget_clipped_search_is_a_prefix(order, budget):
 # Final node counts and first results.  A faster search must walk the
 # same tree, so these never change with a speed-up.
 THIRD_PINS = {
+    12: (3_919, (3, 6, 11, 1, 8, 0, 5, 9, 2, 10, 4, 7)),
     14: (15_994, (2, 8, 7, 0, 12, 1, 5, 10, 9, 13, 3, 6, 4, 11)),
     18: (48_546, (2, 0, 7, 12, 15, 1, 4, 14, 11, 3, 16, 8, 13, 17, 5, 10, 6, 9)),
 }
 HDM_PINS = {
+    (12, 2): (3_903, ((1, 2, 3), (2, 11, 10), (3, 5, 2), (4, 8, 1), (5, 10, 8), (7, 3, 11), (8, 7, 9), (9, 4, 7),
+                      (10, 1, 5), (11, 9, 4))),
     (14, 2): (1_231, ((1, 2, 3), (2, 11, 10), (3, 13, 8), (4, 1, 5), (5, 9, 11), (6, 5, 2), (8, 10, 6),
                       (9, 12, 4), (10, 8, 13), (11, 3, 1), (12, 6, 9), (13, 4, 12))),
     (18, 2): (292_867, ((1, 2, 3), (2, 10, 16), (3, 15, 13), (4, 1, 5), (5, 16, 11), (6, 4, 1),
                         (7, 11, 14), (8, 7, 12), (10, 12, 8), (11, 14, 4), (12, 17, 6),
                         (13, 8, 10), (14, 6, 17), (15, 3, 2), (16, 5, 15), (17, 13, 7))),
+    (16, 2): (55_672, ((1, 2, 3), (2, 11, 13), (3, 5, 12), (4, 1, 5), (5, 9, 15), (6, 4, 9), (7, 13, 6),
+                       (9, 12, 7), (10, 15, 14), (11, 6, 2), (12, 3, 1), (13, 7, 10), (14, 10, 4),
+                       (15, 14, 11))),
+    (20, 4): (10_436, ((1, 2, 3), (2, 9, 1), (3, 19, 12), (4, 8, 11), (6, 3, 2), (7, 13, 19), (8, 16, 14),
+                       (9, 18, 7), (11, 4, 8), (12, 14, 16), (13, 12, 6), (14, 6, 17), (16, 7, 4),
+                       (17, 11, 18), (18, 1, 9), (19, 17, 13))),
+    (24, 6): (11_142, ((1, 2, 3), (2, 13, 7), (3, 5, 22), (5, 3, 2), (6, 23, 13), (7, 10, 17), (9, 6, 15),
+                       (10, 1, 23), (11, 18, 5), (13, 22, 11), (14, 19, 1), (15, 21, 18), (17, 7, 10),
+                       (18, 17, 19), (19, 14, 9), (21, 15, 6), (22, 11, 21), (23, 9, 14))),
 }
 
 
@@ -317,8 +329,7 @@ def forks(monkeypatch):
 PINNED = {
     "third-14": lambda: test_third_column_pinned(14),
     "third-18": lambda: test_third_column_pinned(18),
-    "hdm-14-2": lambda: test_hdm_pinned(14, 2),
-    "hdm-18-2": lambda: test_hdm_pinned(18, 2),
+    **{f"hdm-{n}-{h}": lambda n=n, h=h: test_hdm_pinned(n, h) for n, h in HDM_PINS},
     "status-events": test_status_events_pinned,
     "hdm-every-7": lambda: test_hdm_status_events_every_interval(14, 2, 7),
     "hdm-every-333": lambda: test_hdm_status_events_every_interval(14, 2, 333),
@@ -331,9 +342,18 @@ def test_pins_hold_with_workers_at_once(case, forks):
     PINNED[case]()
 
 
+def test_searches_under_the_warm_up_run_alone(monkeypatch):
+    # Third column 12 (3,919 nodes) and HDM 12,2 (3,903) end before
+    # search._WARMUP (4,096) nodes, so they never fork.
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    test_third_column_pinned(12)
+    test_hdm_pinned(12, 2)
+
+
 def test_default_warm_up_keeps_events_and_messages():
-    # Each search forks after the warm-up, and HDM 22,2 at interval 12,345
-    # has 56 multiples among its 3,207 subtrees.
+    # Each search forks after the warm-up of 4,096 nodes, before its first
+    # status event: third column 20 at subtree 16 of 1,043, and HDM 22,2
+    # at subtree 19 of 3,207, so workers serve all 56 multiples of 12,345.
     events = []
     found = search_third_column(20, result_limit=1, status_interval=300_001, status=events.append)
     assert found == [(2, 0, 7, 14, 17, 1, 18, 8, 15, 13, 19, 6, 10, 16, 11, 5, 4, 3, 12, 9)]
@@ -400,33 +420,25 @@ def test_workers_keep_their_speed_below_deep_callers(forks):
     assert max(faults) <= 2 * min(faults) + 1000, faults
 
 
-class Tee:
-    """The workers' pipe, keeping each post the main process reads."""
-
-    def __init__(self, posts, lines: list[bytes]) -> None:
-        self.posts, self.lines = posts, lines
-
-    def readline(self) -> bytes:
-        line = self.posts.readline()
-        self.lines.append(line)
-        return line
-
-    def close(self) -> None:
-        self.posts.close()
-
-
 @pytest.fixture
 def posts(monkeypatch):
-    """The posts the main process reads from its workers, in order."""
-    lines = []
+    """The posts the main process reads from its workers, in order, and
+    b"" for each read that found the pipe's end."""
+    lines, fds, read = [], set(), os.read
 
     class Workers(search._Workers):
         def _start(self, nodes):
             super()._start(nodes)
-            if self.posts is not None:
-                self.posts = Tee(self.posts, lines)
+            fds.add(self.posts)
+
+    def tee(fd, size):
+        data = read(fd, size)
+        if fd in fds:
+            lines.extend(data.splitlines(keepends=True) or [data])
+        return data
 
     monkeypatch.setattr(search, "_Workers", Workers)
+    monkeypatch.setattr(os, "read", tee)
     return lines
 
 
@@ -516,6 +528,49 @@ def test_a_worker_reaped_elsewhere_is_no_error(forks, monkeypatch):
             search_hdm(6, 1)
     finally:
         signal.signal(signal.SIGCHLD, ignored)
+
+
+@contextlib.contextmanager
+def deadline(seconds: float):
+    """Fail the test, rather than hang, when its body runs past ``seconds``."""
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+
+    handler = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
+
+
+@pytest.mark.parametrize("death", ["exit", "kill"])
+@pytest.mark.parametrize("case, claim", [("third-18", 1), ("hdm-18-2", 1), ("hdm-18-2", 2000)])
+def test_a_dead_worker_does_not_stall_the_search(case, claim, death, forks, monkeypatch):
+    # A worker dies on a chosen claim without posting it.  The main process
+    # finds it dead while it waits for that post, ends the other workers and
+    # searches the rest alone, to the pinned result.  Waiting for the post
+    # alone would last until the others had counted the whole remaining
+    # space, far past the deadline.
+    main = os.getpid()
+
+    class Workers(search._Workers):
+        def __init__(self, run, *rest):
+            def dying(args, stop):
+                if os.getpid() != main and self.t == claim:
+                    if death == "exit":
+                        os._exit(1)
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return run(args, stop)
+
+            super().__init__(dying, *rest)
+
+    monkeypatch.setattr(search, "_Workers", Workers)
+    with deadline(20):
+        PINNED[case]()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def wait_for_one_thread() -> None:
