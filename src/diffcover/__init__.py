@@ -35,7 +35,6 @@ _MODULES = {
         "BadParams",
         "SpectrumEntry",
         "construct_4m",
-        "construct_4m_general",
         "construct_6mu",
         "construct_by_method",
         "construct_odd",

@@ -75,32 +75,21 @@ def params_odd(i: int) -> tuple[int, int]:
     return m, m + 3 + 2 * i
 
 
-def construct_4m_general(m: int, f: int) -> ResidueArray:
-    """Reduced cyclic DCA(4, 4m+1; 4m) for m = 2 mod 4 and even f with
-    gcd(f, 4m) = 2, gcd(f-1, 4m) = 1 and f^2+f-2 = 2m mod 4m."""
-    n = 4 * m
-    if m % 4 != 2:
-        raise BadParams(f"m must be 2 mod 4, got {m}")
-    if gcd(f, n) != 2:
-        raise BadParams(f"gcd(f, 4m) = gcd({f}, {n}) = {gcd(f, n)}, expected 2")
-    if gcd(f - 1, n) != 1:
-        raise BadParams(f"gcd(f-1, 4m) = gcd({f - 1}, {n}) = {gcd(f - 1, n)}, expected 1")
-    if (f * f + f - 2 - 2 * m) % n:
-        raise BadParams(f"f^2+f-2 = {f * f + f - 2} is not {2 * m} mod {n}")
-    assert gcd(2 * m + 2 - f, n) == 4 and gcd(2 * m - f + 1, n) == 1
-    assert gcd(2 * m - 2 * f + 2, n) == 2 and (m * f - 2 * m) % n == 0
-    t = 2 * m - f + 2
-    offsets = ((0, f - 1, t - 1), (0, f - 1, -m), (0, 0, t + m - 1), (0, 0, 0))
-    return _affine_dca(n, (0, m, 2 * m, 3 * m, n), (1, f, t), offsets)
-
-
 def construct_4m(k: int) -> ResidueArray:
-    """Subfamily of order 16k+8 with m = 4k+2 and f = 2m-2, defined for
-    k >= 0 with k != 1 mod 3."""
+    """Reduced cyclic DCA(4, 4m+1; 4m) of order 16k+8, m = 4k+2, for
+    k >= 0 with k != 1 mod 3.
+
+    The family's even multiplier f, with gcd(f, 4m) = 2, gcd(f-1, 4m) = 1
+    and f^2+f-2 = 2m mod 4m, is forced: f-1 is an odd unit mod 4m, so
+    (f+2)(f-1) = 2m makes f+2 = 2m mod 4m, and f = 2m-2 meets the gcd
+    conditions exactly when 3 does not divide m, that is k != 1 mod 3.
+    Column 2 then has slope 2m-f+2 = 4.
+    """
     if k < 0 or k % 3 == 1:
         raise BadParams(f"index must be non-negative and not 1 mod 3, got {k}")
     m = 4 * k + 2
-    return construct_4m_general(m, 2 * m - 2)
+    offsets = ((0, 2 * m - 3, 3), (0, 2 * m - 3, -m), (0, 0, m + 3), (0, 0, 0))
+    return _affine_dca(4 * m, (0, m, 2 * m, 3 * m, 4 * m), (1, 2 * m - 2, 4), offsets)
 
 
 def construct_6mu(mu: int) -> ResidueArray:

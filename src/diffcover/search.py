@@ -44,10 +44,10 @@ nor a multiple of the status interval, and otherwise searches the subtree
 itself.  Node counts, status events, solutions and exceptions are
 therefore those of the sequential search, although events may arrive in
 bursts.  A worker stops counting a subtree where its count would pass the
-budget's end or the next status multiple, and posts -1.  A search runs
-alone when ``os.fork`` is missing or fails, when fewer than two CPUs are
-available, when another thread is running, or when the status interval is
-below ``_SHORT_INTERVAL`` (5,000) nodes.  Workers are born with SIGINT and
+budget's end or the next status multiple, as seen at the fork, and posts
+-1.  A search runs alone when that cap is below ``_WARMUP`` nodes, when
+``os.fork`` is missing or fails, when fewer than two CPUs are available,
+or when another thread is running.  Workers are born with SIGINT and
 SIGTERM blocked, and are killed and reaped on every way out.  A worker
 that dies without posting a claim, killed by a signal or ending with a
 status other than 0, is found within ``_PATIENCE_MS`` (100 ms) of waiting
@@ -83,14 +83,12 @@ _CALLER_FRAMES = 100
 # and up gain (third column 18 33 against 45 ms, HDM 18,2 262 against
 # 313 ms).  At 131,072, third column 22 and HDM 22,2 ran their first
 # 0.08-0.22 s on one CPU; from 4,096 the benchmark's `search` workload
-# took 13.6 % less wall time (BENCH_23.json).
+# took 13.6 % less wall time (BENCH_23.json).  A search also runs alone
+# when its workers could count fewer nodes of a subtree: at status
+# intervals of 1,000 and 2,500, workers made third column 20 and 22 17 to
+# 47 % slower (BENCH_22.json); at 4,096, third column 20, 22 and HDM 22,2
+# took 0.91, 0.96 and 0.50 s against 1.25, 1.36 and 0.82 s alone.
 _WARMUP = 1 << 12
-# A search with a shorter status interval runs alone: fewer counts fit
-# between two multiples, and the main process searches more subtrees
-# again.  On two vCPUs, workers made the third-column searches of orders
-# 20 and 22 17 to 47 % slower at intervals of 1,000 and 2,500 nodes, and
-# 30 % faster at 5,000 (medians of five runs).
-_SHORT_INTERVAL = 5000
 _MAX_WORKERS = 8
 # How long the main process waits on the pipe before it looks for a dead
 # worker.  A wait this long is rare: subtrees of the searches here take
@@ -99,27 +97,45 @@ _PATIENCE_MS = 100
 
 
 class _Workers:
-    """Forked processes that count a search's subtrees ahead of it.
+    """A search's stop rule, and forked processes that count its subtrees
+    ahead of it.
 
-    The search calls ``count`` at every node of its split depth, with the
-    arguments of that node's call.  ``run(args, stop)``, called only in a
-    worker, searches from ``dfs(*args)`` with status off, its own node
-    count and ``stop`` as its only stop, and returns that count, or -1
-    when it found a solution; ``root`` holds the arguments of the search's
-    first call.
+    The search first stops at ``next_stop(0)`` nodes and takes each later
+    stop from ``tick``.  It calls ``count`` at every node of its split
+    depth, with the arguments of that node's call.  ``run(args, stop)``,
+    called only in a worker, where status is off, searches from
+    ``dfs(*args)`` with its own node count and ``stop`` as its only stop,
+    and returns that count, or -1 when it found a solution; ``root`` holds
+    the arguments of the search's first call.
 
     Workers claim subtrees through a counter in shared memory rather than
     taking every k-th one: on the ``search`` benchmark workload a fixed
     split took 7 to 21 % longer in four alternating runs.
     """
 
-    def __init__(self, run: Callable, root: tuple, node_budget: int, every: int) -> None:
-        self.run, self.root, self.node_budget, self.every = run, root, node_budget, every
+    def __init__(self, run: Callable, root: tuple, message: str,
+                 node_budget: int, status_interval: int, status: StatusFn | None) -> None:
+        self.run, self.root, self.node_budget, self.status, self.message = run, root, node_budget, status, message
+        self.every = status_interval if status is not None else 0
         self.t = -1  # the subtree the process is at, in depth-first order
         self.pids: list[int] | None = None  # None until the fork is tried
         self.posts: int | None = None  # read end of the pipe the workers post to
         self.part = b""  # the start of a post whose end is still in the pipe
         self.counts: dict[int, int] = {}
+
+    def next_stop(self, nodes: int) -> int:
+        """The node after ``nodes`` at which the budget runs out or the
+        next status is due, whichever comes first."""
+        return min(self.node_budget + 1, nodes + (self.every or self.node_budget + 1))
+
+    def tick(self, nodes: int, depth: int, solutions: int) -> int:
+        """Report the status and return the next stop, or raise
+        BudgetExhausted with ``message`` past the budget or with status
+        off."""
+        if nodes > self.node_budget or not self.every:
+            raise BudgetExhausted(self.message)
+        self.status({"nodes": nodes, "depth": depth, "solutions": solutions})
+        return self.next_stop(nodes)
 
     def count(self, nodes: int, stop_at: int, args: tuple) -> int | None:
         """Enter the next subtree: its posted node count when adding that
@@ -181,7 +197,10 @@ class _Workers:
         """Fork the workers, which take the subtrees after this one,
         unless the search should run alone."""
         self.pids = []
-        if 0 < self.every < _SHORT_INTERVAL or not hasattr(os, "fork") or _threads() > 1:
+        # A count is of use only below the next status multiple and the
+        # budget's end, so no worker counts a subtree further.
+        cap = self.next_stop(nodes) - nodes
+        if cap < _WARMUP or not hasattr(os, "fork") or _threads() > 1:
             return
         try:
             cpus = len(os.sched_getaffinity(0))
@@ -193,9 +212,6 @@ class _Workers:
         import select
         import signal
 
-        # A count is of use only below the next status multiple and the
-        # budget's end, so no worker counts a subtree further.
-        cap = min(self.every or self.node_budget + 1, self.node_budget + 1 - nodes)
         # The first subtree no worker has claimed.  Two workers may claim
         # one subtree at once; both count it, and the counts agree.
         self.claimed = memoryview(mmap.mmap(-1, 8)).cast("Q")
@@ -230,6 +246,7 @@ class _Workers:
             import threading
 
             os.close(r)
+            self.every = 0
             busy = False
 
             def claim(nodes: int, stop_at: float, args: tuple) -> int | None:
@@ -363,22 +380,10 @@ def search_third_column(
     column = [0] * n
     solutions: list[tuple[int, ...]] = []
     nodes = 0
-    every = status_interval if status is not None else 0
-    # The node at which the budget runs out or the next status is due.
-    stop_at = min(node_budget + 1, every or node_budget + 1)
     split = n // 3
 
-    def tick(depth: int) -> None:
-        nonlocal stop_at
-        # With status off, the only stop is the budget's end, or in a
-        # worker its cap.
-        if nodes > node_budget or not every:
-            raise BudgetExhausted(f"no solution within {node_budget} nodes")
-        status({"nodes": nodes, "depth": depth, "solutions": len(solutions)})
-        stop_at = min(node_budget + 1, nodes + every)
-
     def dfs(i: int, free: int, a0: int, a1: int) -> bool:
-        nonlocal nodes
+        nonlocal nodes, stop_at
         if i == n:
             solutions.append(tuple(column))
             return len(solutions) == result_limit
@@ -394,7 +399,7 @@ def search_third_column(
             cand ^= b
             nodes += 1
             if nodes >= stop_at:
-                tick(i)
+                stop_at = workers.tick(nodes, i, len(solutions))
             v = b.bit_length() - 1
             column[i] = v
             u0 = dbl[v - i] or (spare if a0 & spare else half)
@@ -405,9 +410,9 @@ def search_third_column(
 
     def run(args: tuple, stop: float) -> int:
         """A worker's entry; see _Workers."""
-        nonlocal nodes, stop_at, every, result_limit
+        nonlocal nodes, stop_at, result_limit
         outer = nodes, stop_at
-        nodes, stop_at, every, result_limit = 0, stop, 0, 1
+        nodes, stop_at, result_limit = 0, stop, 1
         solutions.clear()
         try:
             return -1 if dfs(*args) else nodes
@@ -416,9 +421,11 @@ def search_third_column(
 
     # Every difference but 0 has capacity, and n/2 has its spare.
     avail = (full | full << n) ^ dbl[0] | spare
-    workers = _Workers(run, (0, full, avail, avail), node_budget, every)
+    root = (0, full, avail, avail)
+    workers = _Workers(run, root, f"no solution within {node_budget} nodes", node_budget, status_interval, status)
+    stop_at = workers.next_stop(0)
     try:
-        dfs(0, full, avail, avail)
+        dfs(*root)
     except BudgetExhausted:
         if not solutions:
             raise
@@ -449,7 +456,6 @@ def search_hdm(
         raise ValueError(f"hole {h} must divide order {n} with 1 <= h < n")
     # One call per non-hole row, and one more once every row is filled.
     _check_depth(n - h + 1)
-    every = status_interval if status is not None else 0
     u = n // h
     hole = {j * u for j in range(h)}
     nonhole = [v for v in range(n) if v not in hole]
@@ -460,20 +466,10 @@ def search_hdm(
     col1 = [0] * n
     col2 = [0] * n
     nodes = 0
-    stop_at = min(node_budget + 1, every or node_budget + 1)
     split = (n - h) // 2
 
-    def tick(depth: int) -> None:
-        nonlocal stop_at
-        # With status off, the only stop is the budget's end, or in a
-        # worker its cap.
-        if nodes > node_budget or not every:
-            raise BudgetExhausted(f"no HDM(4,{n};{h}) within {node_budget} nodes")
-        status({"nodes": nodes, "depth": depth, "solutions": 0})
-        stop_at = min(node_budget + 1, nodes + every)
-
     def dfs(pending: list[int], free1: int, free2: int, d10: int, d20: int, d21: int) -> bool:
-        nonlocal nodes
+        nonlocal nodes, stop_at
         if not pending:
             return True
         depth = len(nonhole) - len(pending)
@@ -506,7 +502,7 @@ def search_hdm(
             bv = b.bit_length() - 1
             nodes += 1
             if nodes >= stop_at:
-                tick(depth)
+                stop_at = workers.tick(nodes, depth, 0)
             mc = best_mc & d21 >> n - bv
             while mc:
                 c = mc & -mc
@@ -514,7 +510,7 @@ def search_hdm(
                 cv = c.bit_length() - 1
                 nodes += 1
                 if nodes >= stop_at:
-                    tick(depth)
+                    stop_at = workers.tick(nodes, depth, 0)
                 col1[a] = bv
                 col2[a] = cv
                 if dfs(rest, free1 ^ b, free2 ^ c,
@@ -524,9 +520,9 @@ def search_hdm(
 
     def run(args: tuple, stop: float) -> int:
         """A worker's entry; see _Workers."""
-        nonlocal nodes, stop_at, every
+        nonlocal nodes, stop_at
         outer = nodes, stop_at
-        nodes, stop_at, every = 0, stop, 0
+        nodes, stop_at = 0, stop
         try:
             return -1 if dfs(*args) else nodes
         finally:
@@ -537,7 +533,9 @@ def search_hdm(
     # order of a.
     avail = nonhole_mask | nonhole_mask << n
     root = ([n - a for a in nonhole], nonhole_mask, nonhole_mask, avail, avail, avail)
-    workers = _Workers(run, root, node_budget, every)
+    message = f"no HDM(4,{n};{h}) within {node_budget} nodes"
+    workers = _Workers(run, root, message, node_budget, status_interval, status)
+    stop_at = workers.next_stop(0)
     try:
         found = dfs(*root)
     finally:

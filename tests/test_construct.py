@@ -13,7 +13,6 @@ from diffcover.construct import (
     RECORD,
     BadParams,
     construct_4m,
-    construct_4m_general,
     construct_6mu,
     construct_by_method,
     construct_odd,
@@ -112,14 +111,6 @@ def test_construct_4m():
         construct_4m(-2)
 
 
-def test_construct_4m_general():
-    assert construct_4m_general(10, 18) == construct_4m(2)
-    with pytest.raises(BadParams):
-        construct_4m_general(12, 22)  # m not 2 mod 4
-    with pytest.raises(BadParams):
-        construct_4m_general(10, 17)  # odd f
-
-
 def test_construct_6mu():
     arr = construct_6mu(1)
     assert arr.order == 10
@@ -147,6 +138,12 @@ def test_construct_6mu():
         (construct_4m, (3,), "b99eca3d72e879e5"),
         (construct_odd, params_odd(1), "b57cc125ded3124e"),
         (construct_odd, (19, 26), "3e64bf652c510596"),
+        (construct_4m, (0,), "05f1cf03d5dae16f"),
+        (construct_4m, (5,), "26de4b69aab02aa6"),
+        (construct_4m, (6,), "639fedaa7e9e8a01"),
+        (construct_4m, (8,), "ab82e58ce4d49e82"),
+        (construct_4m, (9,), "c2b33e46e47039f3"),
+        (construct_4m, (1875,), "1d5d6e1b1cc671df"),  # order 30008
     ],
 )
 def test_family_rows_are_pinned(build, args, digest):

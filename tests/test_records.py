@@ -13,7 +13,6 @@ import diffcover
 from diffcover.construct import (
     BadParams,
     SpectrumEntry,
-    construct_4m_general,
     construct_6mu,
     construct_by_method,
     construct_odd,
@@ -156,9 +155,6 @@ def test_reports_do_not_share_meta():
         (lambda: construct_odd(m=13, f=14), BadParams, "f^2+f+1 = 211 is not 13 mod 26"),
         (lambda: construct_odd(5, 8), BadParams, "gcd(f+2, 2m) = gcd(10, 10) = 10, expected 2"),
         (lambda: construct_odd(13, 42), BadParams, "f = 42 outside [m+3, 2m-4] = [16, 22]"),
-        (lambda: construct_4m_general(10, 17), BadParams, "gcd(f, 4m) = gcd(17, 40) = 1, expected 2"),
-        (lambda: construct_4m_general(6, 10), BadParams, "gcd(f-1, 4m) = gcd(9, 24) = 3, expected 1"),
-        (lambda: construct_4m_general(2, 6), BadParams, "f^2+f-2 = 40 is not 4 mod 8"),
         (lambda: dm_prime(0, 1), BadParams, "0 is not prime"),
         (lambda: dm_prime(1, 1), BadParams, "1 is not prime"),
         (lambda: construct_6mu(mu=2), BadParams, "mu must be an odd positive integer, got 2"),

@@ -294,10 +294,11 @@ def test_deepest_admitted_searches_fit_the_recursion_limit():
 
 
 # Workers: each search splits at a fixed depth and counts the subtrees
-# below it on forked processes once it has run search._WARMUP nodes alone.
-# With the warm-up and search._SHORT_INTERVAL patched to 0 the workers
-# fork at the first subtree, even at order 14 and with any interval, and
-# every result and event must stay the sequential one.
+# below it on forked processes once it has run search._WARMUP nodes alone,
+# unless they could count fewer than search._WARMUP nodes of a subtree.
+# With the warm-up patched to 0 the workers fork at the first subtree,
+# even at order 14 and with any interval, and every result and event must
+# stay the sequential one.
 
 
 def cpus() -> int:
@@ -308,11 +309,8 @@ def cpus() -> int:
 
 
 @pytest.fixture
-def forks(monkeypatch):
-    """No warm-up and no short interval; yields the pids of the workers
-    forked, which must be some when two CPUs are available."""
-    monkeypatch.setattr(search, "_WARMUP", 0)
-    monkeypatch.setattr(search, "_SHORT_INTERVAL", 0)
+def forked(monkeypatch):
+    """The pids of the workers forked."""
     fork, pids = os.fork, []
 
     def spy():
@@ -322,8 +320,16 @@ def forks(monkeypatch):
         return pid
 
     monkeypatch.setattr(os, "fork", spy)
-    yield pids
-    assert pids or cpus() < 2
+    return pids
+
+
+@pytest.fixture
+def forks(forked, monkeypatch):
+    """No warm-up; yields the pids of the workers forked, which must be
+    some when two CPUs are available."""
+    monkeypatch.setattr(search, "_WARMUP", 0)
+    yield forked
+    assert forked or cpus() < 2
 
 
 PINNED = {
@@ -348,6 +354,41 @@ def test_searches_under_the_warm_up_run_alone(monkeypatch):
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
     test_third_column_pinned(12)
     test_hdm_pinned(12, 2)
+
+
+# Searches whose workers could count `cap` nodes of a subtree: the status
+# interval, or the nodes from the fork to the budget's end.  Third column
+# 12 reaches its fork at 4,106 nodes and HDM 18,2 at 4,111.
+CAPPED = {
+    "third-interval": lambda cap, status: search_third_column(18, result_limit=1, status_interval=cap, status=status),
+    "hdm-interval": lambda cap, status: search_hdm(16, 2, status_interval=cap, status=status).entries,
+    "third-budget": lambda cap, status: search_third_column(12, node_budget=4105 + cap, status=status),
+    "hdm-budget": lambda cap, status: search_hdm(18, 2, node_budget=4110 + cap, status=status).entries,
+}
+
+
+def capped(case: str, cap: int) -> tuple:
+    """The result or exception text and the events of a capped search."""
+    events = []
+    try:
+        result = CAPPED[case](cap, events.append)
+    except BudgetExhausted as e:
+        result = str(e)
+    return result, events
+
+
+@pytest.mark.parametrize("cap", [search._WARMUP, search._WARMUP - 1], ids=["warm-up", "one-less"])
+@pytest.mark.parametrize("case", CAPPED)
+def test_a_cap_under_the_warm_up_runs_alone(case, cap, forked, monkeypatch):
+    # A cap of search._WARMUP nodes forks and one node less runs alone,
+    # with the results and events of a search that never forks.
+    with monkeypatch.context() as alone:
+        alone.setattr(search, "_WARMUP", 1 << 60)
+        want = capped(case, cap)
+    if cap < search._WARMUP:
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    assert capped(case, cap) == want
+    assert forked or cap < search._WARMUP or cpus() < 2
 
 
 def test_default_warm_up_keeps_events_and_messages():
@@ -447,8 +488,8 @@ def posts(monkeypatch):
     [
         (lambda: search_third_column(18, result_limit=1, status_interval=100, status=len), 0, 100),
         (lambda: search_hdm(18, 2, status_interval=50, status=len), 0, 50),
-        (lambda: search_third_column(18, node_budget=2400), 2365, 36),
-        (lambda: search_hdm(18, 2, node_budget=1960), 1936, 25),
+        (lambda: search_third_column(18, node_budget=40), 0, 35),
+        (lambda: search_hdm(22, 2, node_budget=350), 100, 133),
     ],
     ids=["third-interval", "hdm-interval", "third-budget", "hdm-budget"],
 )
@@ -457,8 +498,9 @@ def test_workers_stop_where_a_count_stops_being_of_use(search_to_its_end, warm_u
     # never added, so a worker stops its subtree there and posts -1: the
     # main process waits for no more than that before it searches the
     # subtree itself.  In the budget cases the workers fork at a split
-    # node 35 (third column) or 24 (HDM) nodes before the budget's end,
-    # and the next subtree is larger than that.
+    # node `cap` nodes before the budget runs out, 6 nodes in (third
+    # column) or 218 (HDM), and the main process searches that subtree and
+    # then waits for the next, of 39 or 168 nodes.
     monkeypatch.setattr(search, "_WARMUP", warm_up)
     with contextlib.suppress(BudgetExhausted):
         search_to_its_end()
@@ -583,13 +625,11 @@ def wait_for_one_thread() -> None:
 
 @pytest.mark.parametrize("unsafe", ["one-cpu", "thread", "os-thread", "short-interval"])
 def test_unsafe_searches_run_alone(unsafe, monkeypatch):
-    # Each search would fork at its first subtree, but one CPU, a live
-    # thread (also one the threading module does not know of) or a status
-    # interval below search._SHORT_INTERVAL (1000 < 5000 nodes) keeps it
+    # Each search would fork at its first subtree past the warm-up, but one
+    # CPU, a live thread (also one the threading module does not know of)
+    # or a status interval below the warm-up (1000 < 1001 nodes) keeps it
     # alone, with the same events.
-    monkeypatch.setattr(search, "_WARMUP", 0)
-    if unsafe != "short-interval":
-        monkeypatch.setattr(search, "_SHORT_INTERVAL", 0)
+    monkeypatch.setattr(search, "_WARMUP", 1001 if unsafe == "short-interval" else 0)
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
     if unsafe == "one-cpu":
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
