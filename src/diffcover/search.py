@@ -4,20 +4,26 @@ Both searches hold each set of differences that still has capacity as a
 doubled mask: bits d and d + n are both set for a difference d.  The
 values v with v - s in such a set D are then the low n bits of
 ``D >> (n - s)``, with no rotation and no ``% n``.  Candidates are taken
-lowest bit first, so values are tried in ascending order.
+lowest bit first, so values are tried in ascending order.  A mask's
+update for value x in row a is read from a step table built once: row a,
+entry x holds the doubled bits of x - a.
 
 Third-column search: depth-first over rows in fixed order, against the
 fixed first two columns, the identity and the odd-then-even column.  The
 candidates for row i are the unused values that keep both constrained
 column pairs within their difference capacities: 0 for the zero residue,
-2 for n/2, 1 otherwise.  The solution list is in lexicographic order.
+2 for n/2, 1 otherwise.  Each node computes its child's candidate mask
+and recurses only when that is not empty, handing the mask down; the
+value that uses the last free one completes the column.  The solution
+list is in lexicographic order.
 
 HDM search: columns 1 and 2 are assigned jointly row by row; the next row
 is the pending one with the fewest remaining (value, value) options, with
 ties and candidates resolved in ascending order.  Row choice affects only
 speed, never the set of solutions, and is deterministic.  The pending rows
 are held as the shifts of their masks, n - a for row a, so the scan over
-them subtracts nothing.
+them subtracts nothing, and it stops at the first row with no option.  A
+value of column 1 that leaves column 2 no candidate builds no masks.
 
 Both searches take their settings as keyword arguments: ``node_budget``
 (nodes before BudgetExhausted), ``status_interval`` and ``status`` (a
@@ -32,7 +38,8 @@ multiple of the interval.
 
 Deep subtrees are counted on forked workers.  Each search splits at a
 fixed depth (row n // 3 of the third column, (n - h) // 2 assigned rows of
-the HDM) into subtrees numbered in depth-first order.  After ``_WARMUP``
+the HDM) into subtrees numbered in depth-first order; a third-column row
+with no candidate is no subtree, since no call enters it.  After ``_WARMUP``
 (4,096) nodes alone, the main process forks one worker per available CPU
 (at most eight).  Each worker walks the same shallow rows on a thread of
 its own, claims the next subtree that no worker has claimed through a
@@ -75,19 +82,17 @@ StatusFn = Callable[[dict[str, int]], None]
 _CALLER_FRAMES = 100
 
 # Nodes a search runs alone before it forks workers.  Forking, the
-# workers' first copied pages and reaping them cost 10-15 ms on two
-# vCPUs, so a search this small ends sooner alone: third column 12 (3,919
-# nodes) and HDM 12,2 (3,903) never fork.  Searches of 10,000 to 16,000
-# nodes take 8-22 ms longer forked than alone (third column 14 22 against
-# 10 ms, medians of 15 interleaved runs), searches of about 50,000 nodes
-# and up gain (third column 18 33 against 45 ms, HDM 18,2 262 against
-# 313 ms).  At 131,072, third column 22 and HDM 22,2 ran their first
-# 0.08-0.22 s on one CPU; from 4,096 the benchmark's `search` workload
-# took 13.6 % less wall time (BENCH_23.json).  A search also runs alone
+# workers' first copied pages and reaping them cost 10-15 ms on two vCPUs,
+# so third column 12 (3,919 nodes) and HDM 12,2 (3,903) never fork.
+# Searches of 10,000 to 16,000 nodes take 3-10 ms longer forked than alone
+# (third column 14 9-20 against 6-10 ms, HDM 24,6 21-24 against 11-14 ms),
+# HDM 16,2 (55,672 nodes) about as long, and third column 16 (100,335)
+# 20-28 % less.  A warm-up of 16,384 ran the small ones alone but took third
+# column 18 (48,546) 1-2 ms longer, and every larger search shares 12,288
+# fewer nodes with its workers (BENCH_25.json).  A search also runs alone
 # when its workers could count fewer nodes of a subtree: at status
 # intervals of 1,000 and 2,500, workers made third column 20 and 22 17 to
-# 47 % slower (BENCH_22.json); at 4,096, third column 20, 22 and HDM 22,2
-# took 0.91, 0.96 and 0.50 s against 1.25, 1.36 and 0.82 s alone.
+# 47 % slower (BENCH_22.json).
 _WARMUP = 1 << 12
 _MAX_WORKERS = 8
 # How long the main process waits on the pipe before it looks for a dead
@@ -347,6 +352,11 @@ def _doubled_bits(n: int) -> list[int]:
     return [1 << d | 1 << d + n for d in range(n)]
 
 
+def _step_table(dbl: list[int]) -> list[list[int]]:
+    """Row a, entry x is dbl[x - a]; the rows share dbl's entries."""
+    return [dbl[-a:] + dbl[:-a] for a in range(len(dbl))]
+
+
 def search_third_column(
     order: int,
     *,
@@ -366,7 +376,7 @@ def search_third_column(
     n = order
     if n % 2 or n < 6:
         raise ValueError(f"order must be even and at least 6, got {n}")
-    # One call per row, and one more for the complete column.
+    # One call per row, and one frame to spare.
     _check_depth(n + 1)
     col1 = odd_even_column(n)
 
@@ -377,23 +387,24 @@ def search_third_column(
     half = dbl[n // 2]
     spare = 1 << 2 * n
     dbl[n // 2] = 0
+    # Row i's steps against both fixed columns, then the shifts of row
+    # i + 1's masks, unused after the last row, whose value completes it.
+    step = _step_table(dbl)
+    after = col1[1:] + (0,)
+    rows = [(step[i], step[col1[i]], n - 1 - i, n - after[i]) for i in range(n)]
     column = [0] * n
     solutions: list[tuple[int, ...]] = []
     nodes = 0
     split = n // 3
 
-    def dfs(i: int, free: int, a0: int, a1: int) -> bool:
+    def dfs(i: int, free: int, a0: int, a1: int, cand: int) -> bool:
         nonlocal nodes, stop_at
-        if i == n:
-            solutions.append(tuple(column))
-            return len(solutions) == result_limit
         if i == split:
-            c = workers.count(nodes, stop_at, (i, free, a0, a1))
+            c = workers.count(nodes, stop_at, (i, free, a0, a1, cand))
             if c is not None:
                 nodes += c
                 return False
-        c1 = col1[i]
-        cand = free & a0 >> n - i & a1 >> n - c1
+        t0, t1, s0, s1 = rows[i]
         while cand:
             b = cand & -cand
             cand ^= b
@@ -402,9 +413,14 @@ def search_third_column(
                 stop_at = workers.tick(nodes, i, len(solutions))
             v = b.bit_length() - 1
             column[i] = v
-            u0 = dbl[v - i] or (spare if a0 & spare else half)
-            u1 = dbl[v - c1] or (spare if a1 & spare else half)
-            if dfs(i + 1, free ^ b, a0 ^ u0, a1 ^ u1):
+            f = free ^ b
+            if not f:
+                solutions.append(tuple(column))
+                return len(solutions) == result_limit
+            x0 = a0 ^ (t0[v] or (spare if a0 & spare else half))
+            x1 = a1 ^ (t1[v] or (spare if a1 & spare else half))
+            m = f & x0 >> s0 & x1 >> s1
+            if m and dfs(i + 1, f, x0, x1, m):
                 return True
         return False
 
@@ -421,7 +437,7 @@ def search_third_column(
 
     # Every difference but 0 has capacity, and n/2 has its spare.
     avail = (full | full << n) ^ dbl[0] | spare
-    root = (0, full, avail, avail)
+    root = (0, full, avail, avail, full & avail >> n & avail >> n - col1[0])
     workers = _Workers(run, root, f"no solution within {node_budget} nodes", node_budget, status_interval, status)
     stop_at = workers.next_stop(0)
     try:
@@ -431,6 +447,7 @@ def search_third_column(
             raise
     finally:
         workers.close()
+        dfs = None  # it holds itself through its closure
     if status is not None:
         status({"nodes": nodes, "depth": n, "solutions": len(solutions)})
     return solutions
@@ -459,42 +476,39 @@ def search_hdm(
     u = n // h
     hole = {j * u for j in range(h)}
     nonhole = [v for v in range(n) if v not in hole]
-    nonhole_mask = 0
-    for v in nonhole:
-        nonhole_mask |= 1 << v
-    dbl = _doubled_bits(n)
+    nonhole_mask = sum(1 << v for v in nonhole)
+    step = _step_table(_doubled_bits(n))
     col1 = [0] * n
     col2 = [0] * n
     nodes = 0
     split = (n - h) // 2
 
-    def dfs(pending: list[int], free1: int, free2: int, d10: int, d20: int, d21: int) -> bool:
+    def dfs(pending: list[int], depth: int, free1: int, free2: int, d10: int, d20: int, d21: int) -> bool:
         nonlocal nodes, stop_at
         if not pending:
             return True
-        depth = len(nonhole) - len(pending)
         if depth == split:
-            c = workers.count(nodes, stop_at, (pending, free1, free2, d10, d20, d21))
+            c = workers.count(nodes, stop_at, (pending, depth, free1, free2, d10, d20, d21))
             if c is not None:
                 nodes += c
                 return False
         # Most-constrained row first: fewest (b, c) candidate combinations,
         # the first row in ascending order among ties.  No row has more
-        # than n * n.
+        # than n * n, and a row with none ends the scan.
         best_score = n * n + 1
         for sa in pending:
             mb = d10 >> sa & free1
-            if not mb:
-                return False
             mc = d20 >> sa & free2
-            if not mc:
-                return False
             score = mb.bit_count() * mc.bit_count()
             if score < best_score:
+                if not score:
+                    return False
                 best, best_score, best_mb, best_mc = sa, score, mb, mc
         rest = pending.copy()
         rest.remove(best)
         a = n - best
+        ta = step[a]
+        below = depth + 1
         mb = best_mb
         while mb:
             b = mb & -mb
@@ -504,6 +518,9 @@ def search_hdm(
             if nodes >= stop_at:
                 stop_at = workers.tick(nodes, depth, 0)
             mc = best_mc & d21 >> n - bv
+            if not mc:
+                continue
+            f1, x10, tb = free1 ^ b, d10 ^ ta[bv], step[bv]
             while mc:
                 c = mc & -mc
                 mc ^= c
@@ -511,10 +528,9 @@ def search_hdm(
                 nodes += 1
                 if nodes >= stop_at:
                     stop_at = workers.tick(nodes, depth, 0)
-                col1[a] = bv
-                col2[a] = cv
-                if dfs(rest, free1 ^ b, free2 ^ c,
-                       d10 ^ dbl[bv - a], d20 ^ dbl[cv - a], d21 ^ dbl[cv - bv]):
+                if dfs(rest, below, f1, free2 ^ c, x10, d20 ^ ta[cv], d21 ^ tb[cv]):
+                    col1[a] = bv
+                    col2[a] = cv
                     return True
         return False
 
@@ -532,7 +548,7 @@ def search_hdm(
     # pending row a is held as n - a, the shift of its masks, in ascending
     # order of a.
     avail = nonhole_mask | nonhole_mask << n
-    root = ([n - a for a in nonhole], nonhole_mask, nonhole_mask, avail, avail, avail)
+    root = ([n - a for a in nonhole], 0, nonhole_mask, nonhole_mask, avail, avail, avail)
     message = f"no HDM(4,{n};{h}) within {node_budget} nodes"
     workers = _Workers(run, root, message, node_budget, status_interval, status)
     stop_at = workers.next_stop(0)
@@ -540,6 +556,7 @@ def search_hdm(
         found = dfs(*root)
     finally:
         workers.close()
+        dfs = None  # it holds itself through its closure
     if status is not None:
         status({"nodes": nodes, "depth": n - h, "solutions": int(found)})
     if not found:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import _thread
 import contextlib
+import gc
 import os
 import resource
 import signal
@@ -181,7 +182,9 @@ def test_budget_clipped_search_is_a_prefix(order, budget):
 THIRD_PINS = {
     12: (3_919, (3, 6, 11, 1, 8, 0, 5, 9, 2, 10, 4, 7)),
     14: (15_994, (2, 8, 7, 0, 12, 1, 5, 10, 9, 13, 3, 6, 4, 11)),
+    16: (100_335, (2, 6, 0, 11, 14, 1, 5, 13, 12, 10, 3, 8, 15, 4, 9, 7)),
     18: (48_546, (2, 0, 7, 12, 15, 1, 4, 14, 11, 3, 16, 8, 13, 17, 5, 10, 6, 9)),
+    20: (1_376_650, (2, 0, 7, 14, 17, 1, 18, 8, 15, 13, 19, 6, 10, 16, 11, 5, 4, 3, 12, 9)),
 }
 HDM_PINS = {
     (12, 2): (3_903, ((1, 2, 3), (2, 11, 10), (3, 5, 2), (4, 8, 1), (5, 10, 8), (7, 3, 11), (8, 7, 9), (9, 4, 7),
@@ -333,8 +336,8 @@ def forks(forked, monkeypatch):
 
 
 PINNED = {
-    "third-14": lambda: test_third_column_pinned(14),
-    "third-18": lambda: test_third_column_pinned(18),
+    **{f"third-{order}": lambda order=order: test_third_column_pinned(order) for order in (14, 16, 18, 20)},
+    **{f"all-{order}": lambda order=order: test_search_equals_enumeration(order) for order in (8, 10, 12)},
     **{f"hdm-{n}-{h}": lambda n=n, h=h: test_hdm_pinned(n, h) for n, h in HDM_PINS},
     "status-events": test_status_events_pinned,
     "hdm-every-7": lambda: test_hdm_status_events_every_interval(14, 2, 7),
@@ -346,6 +349,39 @@ PINNED = {
 @pytest.mark.parametrize("case", PINNED)
 def test_pins_hold_with_workers_at_once(case, forks):
     PINNED[case]()
+
+
+ENDS = {
+    "third-12": lambda: search_third_column(12, result_limit=1),
+    "third-10-all": lambda: search_third_column(10),
+    "hdm-10-2": lambda: search_hdm(10, 2),
+    "no-solution": lambda: search_hdm(6, 1),
+    "budget": lambda: search_third_column(14, node_budget=100),
+}
+
+
+@pytest.mark.parametrize("workers", [False, True], ids=["alone", "workers"])
+@pytest.mark.parametrize("case", ENDS)
+def test_a_finished_search_leaves_no_cycle(case, workers, request, monkeypatch):
+    # Each search's dfs holds itself through its closure, and the workers
+    # hold a closure that holds dfs.  The search clears that cell on every
+    # way out, so what it made is freed at once, not by the cycle collector.
+    monkeypatch.setattr(search, "_WARMUP", 1 << 60)
+    if workers:
+        request.getfixturevalue("forks")
+
+    def to_its_end():
+        with contextlib.suppress(NoSolution, BudgetExhausted):
+            ENDS[case]()
+
+    to_its_end()  # the first imports leave garbage of their own
+    gc.collect()
+    gc.disable()
+    try:
+        to_its_end()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_searches_under_the_warm_up_run_alone(monkeypatch):
