@@ -31,11 +31,11 @@ def _affine_dca(
     rows [bounds[p], bounds[p+1]), holds offsets[p][j] + slopes[j]*r mod n
     in column j."""
     pieces = list(zip(bounds, bounds[1:], offsets))
-    columns = [
-        [v % n for lo, hi, o in pieces for v in range(o[j] + s * lo, o[j] + s * hi, s)]
+    cols = tuple(
+        tuple([v % n for lo, hi, o in pieces for v in range(o[j] + s * lo, o[j] + s * hi, s)])
         for j, s in enumerate(slopes)
-    ]
-    return ResidueArray.from_rows(Kind.DCA, n, zip(*columns), form=Form.REDUCED)
+    )
+    return ResidueArray(Kind.DCA, n, 0, Form.REDUCED, cols)
 
 
 def construct_odd(m: int, f: int) -> ResidueArray:
@@ -134,10 +134,8 @@ def dm_prime(p: int, k: int) -> ResidueArray:
         raise BadParams(f"k = {k} exceeds p = {p}")
     if k < 1:
         raise BadParams(f"k must be positive, got {k}")
-    rows = []
-    for i in list(range(1, p)) + [0]:
-        rows.append(tuple((i * (j + 1)) % p for j in range(k - 1)) + (0,))
-    return ResidueArray.from_rows(Kind.DM, p, rows)
+    cols = [tuple([v % p for v in range(s, s * p, s)] + [0]) for s in range(1, k)]
+    return ResidueArray(Kind.DM, p, 0, Form.FULL, (*cols, (0,) * p))
 
 
 def _require(condition: bool, message: str) -> None:
@@ -168,8 +166,8 @@ def insert_hole(hdm: ResidueArray, dca_hole: ResidueArray) -> ResidueArray:
     _require(verify_dca(dca_hole, strict=True).passed, "hole DCA fails strict verification")
     _require(full_hole.is_normalized, "hole DCA must have zero last row and column")
     u = n // h
-    embedded = tuple(tuple((v * u) % n for v in row) for row in full_hole.entries)
-    out = ResidueArray(Kind.DCA, n, 0, Form.FULL, hdm.entries + embedded)
+    cols = tuple(col + tuple([v * u % n for v in hcol]) for col, hcol in zip(hdm.cols, full_hole.cols))
+    out = ResidueArray(Kind.DCA, n, 0, Form.FULL, cols)
     if not verify_dca(out, strict=True).passed:
         raise CertificationFailed("hole insertion produced an invalid DCA")
     return out
@@ -189,11 +187,10 @@ def hdm_product(hdm: ResidueArray, dm: ResidueArray) -> ResidueArray:
     _require(dm_report.meta["lambda"] == 1, "DM ingredient must have lambda = 1")
     n = hdm.order
     big = n * dm.order
-    rows = []
-    for arow in hdm.entries:
-        for brow in dm.entries:
-            rows.append(tuple((a + n * b) % big for a, b in zip(arow, brow)))
-    out = ResidueArray.from_rows(Kind.HDM, big, rows, hole=hdm.hole * dm.order)
+    # Every row of the DM under each row of the HDM, column by column.
+    nbs = [[n * b for b in bcol] for bcol in dm.cols]
+    cols = tuple(tuple([(a + nb) % big for a in acol for nb in nbcol]) for acol, nbcol in zip(hdm.cols, nbs))
+    out = ResidueArray(Kind.HDM, big, hdm.hole * dm.order, Form.FULL, cols)
     # The product formula is not trusted: every output is re-certified.
     if not verify_hdm(out).passed:
         raise CertificationFailed("product produced an invalid HDM")

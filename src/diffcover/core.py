@@ -73,11 +73,13 @@ class _ResidueArray(NamedTuple):
     order: int
     hole: int
     form: Form
-    entries: tuple[tuple[int, ...], ...]
+    cols: tuple[tuple[int, ...], ...]
 
 
 class ResidueArray(Record, _ResidueArray):
-    """Rectangular array of residues mod ``order`` with design metadata.
+    """Rectangular array of residues mod ``order`` with design metadata, held
+    as its columns ``cols``; ``from_rows`` builds one from rows, ``entries``
+    gives them back.
 
     ``hole`` is 0 for DM/DCA; for an HDM it is the order h of the hole
     subgroup H = {0, u, 2u, ...} with u = order/h.  ``form`` is reduced
@@ -87,24 +89,23 @@ class ResidueArray(Record, _ResidueArray):
     __slots__ = ()
 
     def _check(self) -> None:
-        if self.order < 1:
-            raise ValueError(f"order must be positive, got {self.order}")
-        if not self.entries:
-            raise ValueError("array must have at least one row")
-        width = len(self.entries[0])
-        if width < 1:
+        cols, n = self.cols, self.order
+        if n < 1:
+            raise ValueError(f"order must be positive, got {n}")
+        if not cols:
             raise ValueError("array must have at least one column")
-        for row in self.entries:
-            if len(row) != width:
-                raise ValueError("ragged rows")
-            for v in row:
-                if not 0 <= v < self.order:
-                    raise ValueError(f"entry {v} outside [0, {self.order})")
+        if len(set(map(len, cols))) > 1:
+            raise ValueError("ragged rows")
+        if not cols[0]:
+            raise ValueError("array must have at least one row")
+        if min(map(min, cols)) < 0 or max(map(max, cols)) >= n:
+            v = next(v for row in zip(*cols) for v in row if not 0 <= v < n)
+            raise ValueError(f"entry {v} outside [0, {n})")
         if self.kind is Kind.HDM:
-            if not 1 <= self.hole < self.order:
+            if not 1 <= self.hole < n:
                 raise ValueError(f"HDM hole must satisfy 1 <= h < n, got {self.hole}")
-            if self.order % self.hole:
-                raise ValueError(f"hole {self.hole} does not divide order {self.order}")
+            if n % self.hole:
+                raise ValueError(f"hole {self.hole} does not divide order {n}")
         else:
             if self.hole != 0:
                 raise ValueError(f"{self.kind.value} arrays carry no hole")
@@ -112,7 +113,7 @@ class ResidueArray(Record, _ResidueArray):
             raise ValueError("reduced form applies to DCA arrays only")
         # The row count of each kind: n+1 (full) or n (reduced) for a DCA,
         # a multiple of n-h for an HDM or a DM (whose hole is 0).
-        count, n, h = len(self.entries), self.order, self.hole
+        count, h = len(cols[0]), self.hole
         if self.kind is Kind.DCA:
             want = n + 1 if self.form is Form.FULL else n
             if count != want:
@@ -130,27 +131,34 @@ class ResidueArray(Record, _ResidueArray):
         hole: int = 0,
         form: Form = Form.FULL,
     ) -> ResidueArray:
-        return cls(kind, order, hole, form, tuple(tuple(r) for r in rows))
+        rows = tuple(map(tuple, rows))
+        if len(set(map(len, rows))) > 1:  # zip would drop a longer row's extra entries
+            raise ValueError("ragged rows")
+        # No rows is one empty column, which the check refuses.
+        return cls(kind, order, hole, form, tuple(zip(*rows)) if rows else ((),))
 
     @property
     def rows(self) -> int:
-        return len(self.entries)
+        return len(self.cols[0])
 
     @property
     def columns(self) -> int:
-        return len(self.entries[0])
+        return len(self.cols)
+
+    @property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        """The rows, built on each read."""
+        return tuple(zip(*self.cols))
 
     def column(self, j: int) -> tuple[int, ...]:
         if not 0 <= j < self.columns:
             raise IndexError(f"column {j} outside [0, {self.columns})")
-        return tuple(row[j] for row in self.entries)
+        return self.cols[j]
 
     @property
     def is_normalized(self) -> bool:
         """True when the last row and last column are all zero."""
-        return all(v == 0 for v in self.entries[-1]) and all(
-            row[-1] == 0 for row in self.entries
-        )
+        return not any(self.cols[-1]) and not any(col[-1] for col in self.cols)
 
 
 def diff_counts(x: Iterable[int], y: Iterable[int], n: int) -> list[int]:
@@ -168,18 +176,15 @@ def to_reduced(a: ResidueArray) -> ResidueArray:
         raise ValueError("to_reduced expects a full-form DCA")
     if not a.is_normalized:
         raise CertificationFailed("last row and last column must be all zero")
-    entries = tuple(row[:-1] for row in a.entries[:-1])
-    return ResidueArray(Kind.DCA, a.order, 0, Form.REDUCED, entries)
+    return ResidueArray(Kind.DCA, a.order, 0, Form.REDUCED, tuple(col[:-1] for col in a.cols[:-1]))
 
 
 def to_full(a: ResidueArray) -> ResidueArray:
     """Append an all-zero column and an all-zero row to a reduced DCA."""
     if a.form is not Form.REDUCED:
         raise ValueError("to_full expects a reduced-form DCA")
-    entries = tuple(row + (0,) for row in a.entries) + (
-        tuple(0 for _ in range(a.columns + 1)),
-    )
-    return ResidueArray(Kind.DCA, a.order, 0, Form.FULL, entries)
+    cols = tuple(col + (0,) for col in a.cols) + ((0,) * (a.rows + 1),)
+    return ResidueArray(Kind.DCA, a.order, 0, Form.FULL, cols)
 
 
 _HEADER_KEYS = ("kind", "k", "n", "h", "form", "lambda")
@@ -200,14 +205,15 @@ def write_array(a: ResidueArray, fmt: str = "text") -> str:
         # Imported only for JSON, so text-only commands never load it.
         import json
 
-        # Tuples serialize as JSON arrays.
-        return json.dumps({**fields, "entries": a.entries}) + "\n"
+        # json.dumps's bytes, one format string per row: "[%d, %d, %d]" for k = 3.
+        row = "[" + ", ".join(["%d"] * a.columns) + "]"
+        return f'{json.dumps(fields)[:-1]}, "entries": [{", ".join(map(row.__mod__, zip(*a.cols)))}]}}\n'
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}")
     header = " ".join(f"{key}={value}" for key, value in fields.items())
     # One format string per row: "%d %d %d" for three columns.
     row = " ".join(["%d"] * a.columns)
-    return "\n".join([header, *map(row.__mod__, a.entries)]) + "\n"
+    return "\n".join([header, *map(row.__mod__, zip(*a.cols))]) + "\n"
 
 
 def _json_int(v: object) -> int:
@@ -217,13 +223,13 @@ def _json_int(v: object) -> int:
 
 
 def _build(
-    fields: dict, rows: Iterable[Iterable], number: Callable[[object], int] = int, *, ready: bool = False
+    fields: dict, rows: Iterable[Iterable], number: Callable[[object], int] = int, *, cols: tuple | None = None
 ) -> ResidueArray:
     """The one validator behind both file formats: header ``fields`` and
     entry ``rows`` in, a checked array or ParseError out.  ``number``
-    converts each header count and entry (``int`` for text tokens).  With
-    ``ready``, ``rows`` is already a tuple of k-tuples of ints and goes in
-    as it is; the array's own check still range-checks every entry."""
+    converts each header count and entry (``int`` for text tokens).
+    ``cols``, when given, are the entries already as columns of ints; the
+    array's own check still range-checks every entry."""
     missing = [k for k in _HEADER_KEYS[:-1] if k not in fields]  # lambda is optional
     if missing:
         raise ParseError(f"header missing {', '.join(missing)}")
@@ -231,16 +237,20 @@ def _build(
         kind, form = Kind(fields["kind"]), Form(fields["form"])
         k, n, h = number(fields["k"]), number(fields["n"]), number(fields["h"])
         lam = number(fields["lambda"]) if "lambda" in fields else None
-        if ready:
-            entries = rows
-        else:
-            entries = []
-            for row in rows:
-                row = tuple(map(number, row))
-                if len(row) != k:
-                    raise ParseError(f"row {len(entries)} has {len(row)} entries, expected {k}")
-                entries.append(row)
-        arr = ResidueArray(kind, n, h, form, tuple(entries))
+        if cols is None:
+            # Lists of k entries convert in one pass after the loop; any other row
+            # converts at once, with those before it, so errors come in row order.
+            flat, i = [], -1
+            for i, row in enumerate(rows):
+                if type(row) is not list or len(row) != k:
+                    flat = list(map(number, chain(flat, row)))
+                    if len(row) != k:
+                        raise ParseError(f"row {i} has {len(row)} entries, expected {k}")
+                else:
+                    flat += row
+            flat = tuple(map(number, flat))
+            cols = tuple(flat[j::k] for j in range(k)) if i >= 0 else ((),)
+        arr = ResidueArray(kind, n, h, form, cols)
     except (ValueError, TypeError) as exc:
         raise ParseError(str(exc)) from exc
     # The array checks the row count of its kind; only a header carries
@@ -254,8 +264,8 @@ def _build(
     return arr
 
 
-def _json_entries(rows: object, k: object) -> tuple[tuple[int, ...], ...] | None:
-    """``rows`` as entries when it is a list of lists of exactly ``k``
+def _json_columns(rows: object, k: object) -> tuple[tuple[int, ...], ...] | None:
+    """The columns of ``rows`` when it is a list of lists of exactly ``k``
     JSON integers, else None.  ``type(v) is int`` rejects ``true``."""
     if (
         type(k) is int
@@ -264,7 +274,7 @@ def _json_entries(rows: object, k: object) -> tuple[tuple[int, ...], ...] | None
         and set(map(len, rows)) == {k}
         and set(map(type, chain.from_iterable(rows))) == {int}
     ):
-        return tuple(map(tuple, rows))
+        return tuple(zip(*rows))
     return None
 
 
@@ -285,10 +295,8 @@ def read_array(text: str) -> ResidueArray:
         # Text that starts with "{" and parses is an object.
         if "entries" not in obj:
             raise ParseError("JSON array file has no entries")
-        entries = _json_entries(obj["entries"], obj.get("k"))
-        if entries is not None:
-            return _build(obj, entries, _json_int, ready=True)
-        return _build(obj, obj["entries"], _json_int)
+        rows = obj["entries"]
+        return _build(obj, rows, _json_int, cols=_json_columns(rows, obj.get("k")))
     lines = text.splitlines()
     if "#" in text:
         lines = [line.split("#", 1)[0] for line in lines]

@@ -57,9 +57,7 @@ def latin_from_dca(dca: ResidueArray, s: int) -> LatinSquare:
     the result is always Latin."""
     if dca.kind is not Kind.DCA or dca.form is not Form.REDUCED:
         raise ValueError("latin_from_dca expects a reduced DCA")
-    if not 0 <= s < dca.columns:
-        raise IndexError(f"column {s} outside [0, {dca.columns})")
-    return LatinSquare(dca.order, tuple(row[s] for row in dca.entries))
+    return LatinSquare(dca.order, dca.column(s))
 
 
 def classify_pair(a: LatinSquare, b: LatinSquare) -> Classification:

@@ -28,9 +28,9 @@ value of column 1 that leaves column 2 no candidate builds no masks.
 Both searches take their settings as keyword arguments: ``node_budget``
 (nodes before BudgetExhausted), ``status_interval`` and ``status`` (a
 callback given a counter dict every ``status_interval`` nodes when the
-interval is positive, and once more at the end unless the budget runs
-out with nothing found), and for the third-column search
-``result_limit`` (stop after this many solutions).
+interval is positive, and once more at the end with a ``"reason"``:
+``solution``, ``exhausted``, ``budget`` or ``interrupt``), and for the
+third-column search ``result_limit`` (stop after this many solutions).
 
 Budget and status share one compare per node: ``nodes >= stop_at``,
 where ``stop_at`` is the smaller of ``node_budget + 1`` and the next
@@ -71,7 +71,7 @@ import sys
 import time
 from typing import Callable
 
-from .core import BudgetExhausted, Kind, NoSolution, ResidueArray
+from .core import BudgetExhausted, Form, Kind, NoSolution, ResidueArray
 from .tables import odd_even_column
 
 StatusFn = Callable[[dict[str, int]], None]
@@ -291,6 +291,23 @@ class _Workers:
         finally:
             os._exit(1)
 
+    def walk(self, start: Callable[[], bool], depth: int, counts: Callable[[bool], tuple[int, int]]) -> bool:
+        """Run ``start()``, close, and give status a final event: ``counts(found)`` and the reason it ended."""
+        found = reason = None
+        try:
+            found = start()
+            reason = "solution" if found else "exhausted"
+            return found
+        except (BudgetExhausted, KeyboardInterrupt) as exc:
+            reason = "budget" if isinstance(exc, BudgetExhausted) else "interrupt"
+            raise
+        finally:
+            self.close()
+            if reason is not None and self.status is not None:
+                nodes, solutions = counts(bool(found))
+                self.status({"nodes": min(nodes, self.node_budget), "depth": depth, "solutions": solutions,
+                             "reason": reason})
+
     def close(self) -> None:
         """Kill and reap every worker and close the pipe; the search runs
         alone from here.  A worker that ended by itself may be gone
@@ -441,15 +458,12 @@ def search_third_column(
     workers = _Workers(run, root, f"no solution within {node_budget} nodes", node_budget, status_interval, status)
     stop_at = workers.next_stop(0)
     try:
-        dfs(*root)
+        workers.walk(lambda: dfs(*root), n, lambda found: (nodes, len(solutions)))
     except BudgetExhausted:
         if not solutions:
             raise
     finally:
-        workers.close()
         dfs = None  # it holds itself through its closure
-    if status is not None:
-        status({"nodes": nodes, "depth": n, "solutions": len(solutions)})
     return solutions
 
 
@@ -553,13 +567,10 @@ def search_hdm(
     workers = _Workers(run, root, message, node_budget, status_interval, status)
     stop_at = workers.next_stop(0)
     try:
-        found = dfs(*root)
+        found = workers.walk(lambda: dfs(*root), n - h, lambda found: (nodes, int(found)))
     finally:
-        workers.close()
         dfs = None  # it holds itself through its closure
-    if status is not None:
-        status({"nodes": nodes, "depth": n - h, "solutions": int(found)})
     if not found:
         raise NoSolution(f"no cyclic HDM(4,{n};{h}) with the fixed normalizations")
-    rows = [(a, col1[a], col2[a], 0) for a in nonhole]
-    return ResidueArray.from_rows(Kind.HDM, n, rows, hole=h)
+    found_cols = (tuple([col1[a] for a in nonhole]), tuple([col2[a] for a in nonhole]))
+    return ResidueArray(Kind.HDM, n, h, Form.FULL, (tuple(nonhole), *found_cols, (0,) * len(nonhole)))

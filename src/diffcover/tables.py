@@ -16,8 +16,7 @@ def dca_from_third_column(col2: tuple[int, ...]) -> ResidueArray:
     identity and the odd-then-even column) and whose third column is
     ``col2``."""
     n = len(col2)
-    rows = list(zip(range(n), odd_even_column(n), col2))
-    return ResidueArray.from_rows(Kind.DCA, n, rows, form=Form.REDUCED)
+    return ResidueArray(Kind.DCA, n, 0, Form.REDUCED, (tuple(range(n)), odd_even_column(n), tuple(col2)))
 
 
 # Third columns pairing with the identity first column and

@@ -1,12 +1,12 @@
 """Independent verifiers for the defining difference properties.
 
 Each verifier takes one count per column pair, through
-:func:`diffcover.core.diff_counts`, and reads every check off those
-lists; no constructor formula is reused, so the verifiers serve as
-oracles for everything the package builds.  Residues are walked only to
-find the witness of a failing check, which is deterministic: smallest
-column pair first (pairs enumerated (1,0), (2,0), (2,1), ...), then
-smallest residue.
+:func:`diffcover.core.diff_counts` (by entry counts against a reduced
+DCA's stripped zero column), and reads every check off those lists; no
+constructor formula is reused, so the verifiers serve as oracles for
+everything the package builds.  Residues are walked only to find the
+witness of a failing check, which is deterministic: smallest column pair
+first (pairs enumerated (1,0), (2,0), (2,1), ...), then smallest residue.
 
 The row count and hole of each kind are rules of the array itself,
 checked whenever one is built, so every array a verifier sees has the
@@ -15,7 +15,7 @@ shape of its kind.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import CertificationFailed, Form, Kind, ResidueArray, diff_counts
 
@@ -59,7 +59,7 @@ class VerificationReport(NamedTuple):
         return json.dumps(self.to_obj())
 
 
-def _pair_counts(cols: list[tuple[int, ...]], n: int) -> dict[tuple[int, int], list[int]]:
+def _pair_counts(cols: Sequence[tuple[int, ...]], n: int) -> dict[tuple[int, int], list[int]]:
     """The difference counts mod ``n`` of every pair of columns ``cols``,
     keyed (j, jp) in witness order: (1,0), (2,0), (2,1), ..."""
     return {(j, jp): diff_counts(cols[j], cols[jp], n) for j in range(1, len(cols)) for jp in range(j)}
@@ -93,7 +93,7 @@ def verify_dm(a: ResidueArray) -> VerificationReport:
         raise ValueError(f"verify_dm expects a DM array, got {a.kind.value}")
     n = a.order
     lam = a.rows // n
-    check = _balance_check("difference-balance", _pair_counts(list(zip(*a.entries)), n), [lam] * n)
+    check = _balance_check("difference-balance", _pair_counts(a.cols, n), [lam] * n)
     return VerificationReport((check,), meta={"lambda": lam})
 
 
@@ -110,7 +110,7 @@ def verify_hdm(a: ResidueArray) -> VerificationReport:
     expected = [lam] * n
     for d in hole:
         expected[d] = 0
-    cols = list(zip(*a.entries))
+    cols = a.cols
     pairs = _pair_counts(cols, n)
     checks = [
         _balance_check("hole-avoidance", pairs, expected, hole),
@@ -136,19 +136,26 @@ def verify_dca(a: ResidueArray, strict: bool = False) -> VerificationReport:
     pair off the last column covers the nonzero residues exactly once
     apiece with n/2 doubled (the forced repeated difference).
 
-    Reduced input is checked as its full form without copying the array:
-    each column gains the stripped row's zero, and the stripped all-zero
-    column is added.
+    Reduced input is checked as its full form without building that array:
+    the stripped row adds a difference 0 to every pair, and the stripped
+    zero column's pair with column j counts -v for each entry v there.
     """
     if a.kind is not Kind.DCA:
         raise ValueError(f"verify_dca expects a DCA array, got {a.kind.value}")
     n = a.order
-    cols = list(zip(*a.entries))
+    cols = a.cols
+    pairs = _pair_counts(cols, n)
     if a.form is Form.REDUCED:
+        for counts in pairs.values():
+            counts[0] += 1
+        for j, col in enumerate(cols):
+            counts = [1] + [0] * (n - 1)
+            for v in col:
+                counts[v] += 1
+            pairs[len(cols), j] = counts[:1] + counts[:0:-1]
         cols = [col + (0,) for col in cols]
         cols.append((0,) * len(cols[0]))
     rows = len(cols[0])
-    pairs = _pair_counts(cols, n)
     coverage = Check("coverage")
     for pair, counts in pairs.items():
         if 0 in counts:

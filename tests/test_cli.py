@@ -320,6 +320,23 @@ def test_search_order(capsys):
     assert status and status[-1]["solutions"] == 1
 
 
+@pytest.mark.parametrize(
+    "argv, depth, message",
+    [
+        (["--hdm", "30,6"], 24, "no HDM(4,30;6) within 50000 nodes"),
+        (["--order", "22"], 22, "no solution within 50000 nodes"),
+    ],
+    ids=["hdm", "third"],
+)
+def test_search_budget_ends_with_a_final_event(argv, depth, message, capsys):
+    assert main(["search", *argv, "--budget", "50000", "--status-interval", "20000"]) == 3
+    *events, error = capsys.readouterr().err.splitlines()
+    assert error == f"error: {message}"
+    events = [json.loads(line) for line in events]
+    assert [e["nodes"] for e in events] == [20000, 40000, 50000]
+    assert events[-1] == {"nodes": 50000, "depth": depth, "solutions": 0, "reason": "budget"}
+
+
 def test_search_order_limit_separates_arrays(capsys):
     # Each array found is printed in turn, with a blank line between two.
     # Order 10 has four third columns (order 8 has one).

@@ -23,8 +23,8 @@ from diffcover.construct import (
     params_odd,
     spectrum_report,
 )
-from diffcover.core import Form, Kind, NoSolution, ResidueArray, write_array
-from diffcover.search import search_third_column
+from diffcover.core import Form, Kind, NoSolution, ResidueArray, read_array, write_array
+from diffcover.search import search_hdm, search_third_column
 from diffcover.tables import SEARCHED_THIRD_COLUMNS, odd_even_column
 from diffcover.verify import verify_dca, verify_dm, verify_hdm
 
@@ -150,6 +150,33 @@ def test_family_rows_are_pinned(build, args, digest):
     assert hashlib.sha256(write_array(build(*args)).encode()).hexdigest()[:16] == digest
 
 
+# The first 16 hex digits of sha256 of the text and the JSON that
+# write_array gives, recorded when arrays were still stored as rows.  One
+# array of each family near order 1,000, a prime DM, an HDM x DM product and
+# a hole insertion.
+WRITTEN = {
+    "table-54": (lambda: construct_by_method(54, "table")[0], "5967d0440414eb59", "28d6c2d5cecfa74a"),
+    "odd-f-926": (lambda: construct_by_method(926, "odd-f")[0], "169165334e153db8", "b5f7e809753bde10"),
+    "four-m-1000": (lambda: construct_by_method(1000, "four-m")[0], "46308a11509ce92e", "9da3c6b4100de157"),
+    "six-mu-994": (lambda: construct_by_method(994, "six-mu")[0], "fb145cbc71c7188e", "2d5a890ea4f804e6"),
+    "dm-1009": (lambda: dm_prime(1009, 4), "75e69b7eb561c64d", "5618ea3ef415cc38"),
+    "hdm-10-2-x-dm-101": (lambda: hdm_product(search_hdm(10, 2), dm_prime(101, 4)),
+                          "c30fe72abdf60730", "7e15a915742cc2b0"),
+    "hole-1010": (lambda: insert_hole(hdm_product(search_hdm(10, 2), dm_prime(101, 4)), construct_by_method(202)[0]),
+                  "add58ac8afa1dbbe", "e5ced716c82f2416"),
+}
+
+
+@pytest.mark.parametrize("case", WRITTEN)
+def test_written_bytes_are_pinned(case):
+    build, text_digest, json_digest = WRITTEN[case]
+    arr = build()
+    for fmt, digest in (("text", text_digest), ("json", json_digest)):
+        payload = write_array(arr, fmt)
+        assert hashlib.sha256(payload.encode()).hexdigest()[:16] == digest
+        assert write_array(read_array(payload), fmt) == payload
+
+
 def test_table_method(b_reduced):
     assert construct_by_method(6, "table") == (b_reduced, "table")
     # The classical order-6 column is the only one the search finds.
@@ -218,7 +245,7 @@ def test_insert_hole_errors(b_reduced):
         insert_hole(mutate(hdm, 0, 1, 3), b_reduced)
     # A valid HDM with lambda = 2 has too many rows to take a hole.
     doubled = search_hdm(24, 6)
-    doubled = doubled._replace(entries=doubled.entries * 2)
+    doubled = doubled._replace(cols=tuple(col * 2 for col in doubled.cols))
     assert verify_hdm(doubled).passed and verify_hdm(doubled).meta["lambda"] == 2
     with pytest.raises(BadParams, match="HDM ingredient must have lambda = 1"):
         insert_hole(doubled, b_reduced)

@@ -225,6 +225,20 @@ def test_json_entries_must_be_integers(value):
         read_array(_golden_json().replace("[0, 1, 3, 0]", f"[{value}, 1, 3, 0]", 1))
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "kind=DCA k=2 n=6 h=0 form=full\n0 7\n9 0\n",
+        '{"kind": "DCA", "k": 2, "n": 6, "h": 0, "form": "full", "entries": [[0, 7], [9, 0]]}',
+    ],
+    ids=["text", "json"],
+)
+def test_first_bad_entry_in_row_order_is_named(text):
+    # 7 comes first in row order, 9 first in column order.
+    with pytest.raises(ParseError, match=r"^entry 7 outside \[0, 6\)$"):
+        read_array(text)
+
+
 def test_text_header_and_entries_go_through_int(b_full):
     # Text tokens keep int()'s spelling rules, e.g. a leading '+'.
     assert read_array(B_TEXT.replace("n=6", "n=+6").replace("1 3 0 0", "+1 3 0 0")) == b_full

@@ -72,7 +72,7 @@ def test_mapped_errors_live_in_core():
 # One record of each type, with every field given by keyword in field order.
 RECORDS = [
     (ResidueArray, {"kind": Kind.DCA, "order": 6, "hole": 0, "form": Form.REDUCED,
-                    "entries": ((0, 1, 3), (1, 3, 0), (2, 5, 4), (3, 0, 1), (4, 2, 5), (5, 4, 2))}),
+                    "cols": ((0, 1, 2, 3, 4, 5), (1, 3, 5, 0, 2, 4), (3, 0, 4, 1, 5, 2))}),
     (Check, {"name": "coverage", "witness": {"pair": [1, 0], "residue": 2, "expected": 1, "actual": 0}}),
     (VerificationReport, {"checks": (Check("coverage"),), "meta": {"rows": 7}}),
     (LatinSquare, {"order": 3, "offsets": (0, 2, 1)}),
@@ -129,18 +129,19 @@ def test_reports_do_not_share_meta():
 @pytest.mark.parametrize(
     "make, error, message",
     [
+        # The entries are given as columns.
         (lambda: ResidueArray(Kind.DCA, 6, 0, Form.FULL, ((0, 1), (1,))), ValueError, "ragged rows"),
-        (lambda: ResidueArray(Kind.DCA, 6, 0, Form.FULL, ((0, 6),)), ValueError, "entry 6 outside [0, 6)"),
+        (lambda: ResidueArray(Kind.DCA, 6, 0, Form.FULL, ((0,), (6,))), ValueError, "entry 6 outside [0, 6)"),
         (lambda: ResidueArray(Kind.DCA, 0, 0, Form.FULL, ((0,),)), ValueError, "order must be positive, got 0"),
-        (lambda: ResidueArray(kind=Kind.DM, order=6, hole=2, form=Form.FULL, entries=((0,),)),
+        (lambda: ResidueArray(kind=Kind.DM, order=6, hole=2, form=Form.FULL, cols=((0,),)),
          ValueError, "DM arrays carry no hole"),
         # Each kind's row count: n+1 rows for a full DCA, a multiple of
         # n-h for an HDM and of n for a DM.
-        (lambda: ResidueArray(Kind.DCA, 4, 0, Form.FULL, ((0, 0), (1, 0), (2, 0), (3, 0))),
+        (lambda: ResidueArray(Kind.DCA, 4, 0, Form.FULL, ((0, 1, 2, 3), (0, 0, 0, 0))),
          ValueError, "full DCA over Z_4 needs 5 rows, got 4"),
-        (lambda: ResidueArray(Kind.HDM, 6, 2, Form.FULL, ((1, 0),)),
+        (lambda: ResidueArray(Kind.HDM, 6, 2, Form.FULL, ((1,), (0,))),
          ValueError, "HDM over Z_6 with hole 2 needs a multiple of 4 rows, got 1"),
-        (lambda: ResidueArray(Kind.DM, 6, 0, Form.FULL, ((0, 0),) * 7),
+        (lambda: ResidueArray(Kind.DM, 6, 0, Form.FULL, ((0,) * 7,) * 2),
          ValueError, "DM over Z_6 needs a multiple of 6 rows, got 7"),
         (lambda: to_full(to_full(construct_by_method(6)[0])), ValueError, "to_full expects a reduced-form DCA"),
         (lambda: write_array(dm_prime(5, 4), "xml"), ValueError, "unknown format 'xml'"),
@@ -167,6 +168,32 @@ def test_record_validation(make, error, message):
     assert str(info.value) == message
 
 
+# Each shape error of an array given as columns, and of one given as rows,
+# with the message the row layout gave.
+SHAPES = {
+    "no-column": (lambda: ResidueArray(Kind.DCA, 6, 0, Form.FULL, ()), "array must have at least one column"),
+    "no-row": (lambda: ResidueArray(Kind.DCA, 6, 0, Form.FULL, ((), ())), "array must have at least one row"),
+    # The first bad entry in row order is named: 7 in row 0, not 9, which
+    # comes first in column 0.
+    "bad-entries": (lambda: ResidueArray(Kind.DCA, 6, 0, Form.FULL, ((0, 9), (7, 0))), "entry 7 outside [0, 6)"),
+    "negative-entry": (lambda: ResidueArray(Kind.DCA, 6, 0, Form.FULL, ((0, 1), (0, -1))), "entry -1 outside [0, 6)"),
+    # From rows, a short or a long row is ragged, never cut to fit.
+    "short-row": (lambda: ResidueArray.from_rows(Kind.DCA, 6, [(0, 1), (1,), (2, 3)]), "ragged rows"),
+    "long-row": (lambda: ResidueArray.from_rows(Kind.DCA, 6, [(0, 1), (1, 2, 3), (2, 3)]), "ragged rows"),
+    "bad-entries-by-rows": (lambda: ResidueArray.from_rows(Kind.DCA, 6, [(0, 7), (9, 0)]), "entry 7 outside [0, 6)"),
+    "no-row-by-rows": (lambda: ResidueArray.from_rows(Kind.DCA, 6, []), "array must have at least one row"),
+    "no-column-by-rows": (lambda: ResidueArray.from_rows(Kind.DCA, 6, [(), ()]), "array must have at least one column"),
+}
+
+
+@pytest.mark.parametrize("case", SHAPES)
+def test_array_shape_errors(case):
+    make, message = SHAPES[case]
+    with pytest.raises(ValueError) as info:
+        make()
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
 def test_replace_and_make_validate():
     # A record changed or rebuilt through the NamedTuple helpers is checked
     # like a new one.
@@ -174,4 +201,4 @@ def test_replace_and_make_validate():
         LatinSquare._make((3, (0, 0, 1)))
     arr = ResidueArray(**RECORDS[0][1])
     with pytest.raises(ValueError, match="entry 6 outside"):
-        arr._replace(entries=((6, 0, 0),) * 6)
+        arr._replace(cols=((6,) * 6, (0,) * 6, (0,) * 6))

@@ -11,6 +11,7 @@ import signal
 import sys
 import threading
 import time
+from typing import Callable
 
 import pytest
 from hypothesis import given, strategies as st
@@ -105,8 +106,8 @@ def test_status_stream():
     events = []
     search_third_column(6, status_interval=5, status=events.append)
     assert events
-    assert all(set(e) == {"nodes", "depth", "solutions"} for e in events)
-    assert events[-1]["solutions"] == 1
+    assert all(set(e) == {"nodes", "depth", "solutions"} for e in events[:-1])
+    assert events[-1] == {"nodes": events[-1]["nodes"], "depth": 6, "solutions": 1, "reason": "exhausted"}
 
 
 def test_search_hdm_ten_two():
@@ -212,7 +213,7 @@ def test_third_column_pinned(order):
     events = []
     found = search_third_column(order, result_limit=1, status=events.append)
     assert found == [first]
-    assert events == [{"nodes": nodes, "depth": order, "solutions": 1}]
+    assert events == [{"nodes": nodes, "depth": order, "solutions": 1, "reason": "solution"}]
 
 
 @pytest.mark.parametrize("n,h", sorted(HDM_PINS))
@@ -221,7 +222,7 @@ def test_hdm_pinned(n, h):
     events = []
     arr = search_hdm(n, h, status=events.append)
     assert arr.entries == tuple(row + (0,) for row in rows)
-    assert events == [{"nodes": nodes, "depth": n - h, "solutions": 1}]
+    assert events == [{"nodes": nodes, "depth": n - h, "solutions": 1, "reason": "solution"}]
 
 
 def test_status_events_pinned():
@@ -230,23 +231,38 @@ def test_status_events_pinned():
     depths = [7, 5, 7, 8, 9, 4, 6, 6, 8, 8, 7, 8, 6, 8, 5]
     assert events == [
         {"nodes": 1000 * (j + 1), "depth": d, "solutions": 0} for j, d in enumerate(depths)
-    ] + [{"nodes": 15_994, "depth": 14, "solutions": 1}]
+    ] + [{"nodes": 15_994, "depth": 14, "solutions": 1, "reason": "solution"}]
     events = []
     search_hdm(14, 2, status_interval=1000, status=events.append)
     assert events == [
         {"nodes": 1000, "depth": 7, "solutions": 0},
-        {"nodes": 1231, "depth": 12, "solutions": 1},
+        {"nodes": 1231, "depth": 12, "solutions": 1, "reason": "solution"},
     ]
-    # A budget that ends between two multiples: the events before it,
-    # then the exception and no final event.
+    # A budget that ends between two multiples: the events before it, a
+    # final event at the budget, then the exception.
     events = []
     with pytest.raises(BudgetExhausted, match="^no solution within 2500 nodes$"):
         search_third_column(14, node_budget=2500, status_interval=1000, status=events.append)
-    assert events == [{"nodes": 1000, "depth": 7, "solutions": 0}, {"nodes": 2000, "depth": 5, "solutions": 0}]
+    assert events == [
+        {"nodes": 1000, "depth": 7, "solutions": 0},
+        {"nodes": 2000, "depth": 5, "solutions": 0},
+        {"nodes": 2500, "depth": 14, "solutions": 0, "reason": "budget"},
+    ]
     events = []
     with pytest.raises(BudgetExhausted, match=r"^no HDM\(4,14;2\) within 1100 nodes$"):
         search_hdm(14, 2, node_budget=1100, status_interval=1000, status=events.append)
-    assert events == [{"nodes": 1000, "depth": 7, "solutions": 0}]
+    assert events == [
+        {"nodes": 1000, "depth": 7, "solutions": 0},
+        {"nodes": 1100, "depth": 12, "solutions": 0, "reason": "budget"},
+    ]
+    # A budget that runs out after some solutions returns them.
+    events = []
+    assert len(search_third_column(10, node_budget=300, status=events.append)) == 1
+    assert events == [{"nodes": 300, "depth": 10, "solutions": 1, "reason": "budget"}]
+    events = []
+    with pytest.raises(NoSolution):
+        search_hdm(6, 1, status=events.append)
+    assert events == [{"nodes": 150, "depth": 5, "solutions": 0, "reason": "exhausted"}]
 
 
 @pytest.mark.parametrize("n, h, every", [(14, 2, 7), (14, 2, 50), (14, 2, 333), (22, 2, 100_000)])
@@ -445,15 +461,16 @@ def test_default_warm_up_keeps_events_and_messages():
               14, 13, 13, 13, 14, 12, 13, 12, 13, 15, 13, 12]
     assert events == [
         {"nodes": 12_345 * (j + 1), "depth": d, "solutions": 0} for j, d in enumerate(depths)
-    ] + [{"nodes": 694_407, "depth": 20, "solutions": 1}]
+    ] + [{"nodes": 694_407, "depth": 20, "solutions": 1, "reason": "solution"}]
     # The budget ends on a multiple of the interval: that event comes,
-    # then the exception.
+    # then the final event and the exception.
     events = []
     with pytest.raises(BudgetExhausted, match=r"^no HDM\(4,22;2\) within 400000 nodes$"):
         search_hdm(22, 2, node_budget=400_000, status_interval=200_000, status=events.append)
     assert events == [
         {"nodes": 200_000, "depth": 12, "solutions": 0},
         {"nodes": 400_000, "depth": 13, "solutions": 0},
+        {"nodes": 400_000, "depth": 20, "solutions": 0, "reason": "budget"},
     ]
 
 
@@ -556,7 +573,7 @@ def test_more_workers_than_cpus_count_every_subtree(forks, posts, monkeypatch):
     found = search_third_column(14, status_interval=0, status=events.append)
     assert len(forks) == 6
     assert (len(found), found == sorted(found)) == (82, True)
-    assert events == [{"nodes": 600_918, "depth": 14, "solutions": 82}]
+    assert events == [{"nodes": 600_918, "depth": 14, "solutions": 82, "reason": "exhausted"}]
     assert b"" not in posts
     counts = {}
     for line in posts:
@@ -565,12 +582,52 @@ def test_more_workers_than_cpus_count_every_subtree(forks, posts, monkeypatch):
     assert len(counts) > 1000, len(counts)
 
 
+def interrupt_at(nodes: int, events: list) -> Callable[[dict[str, int]], None]:
+    """A status callback that records each event and raises
+    KeyboardInterrupt at the event of ``nodes``."""
+
+    def status(event: dict[str, int]) -> None:
+        events.append(event)
+        if event["nodes"] == nodes and "reason" not in event:
+            raise KeyboardInterrupt
+
+    return status
+
+
+@pytest.mark.parametrize("workers", [False, True], ids=["alone", "workers"])
+def test_an_interrupt_ends_with_a_final_event(workers, request):
+    # The interrupt comes from the status callback, at the second multiple
+    # of the interval; the final event names it, then it propagates.
+    if workers:
+        request.getfixturevalue("forks")
+    events = []
+    with pytest.raises(KeyboardInterrupt):
+        search_third_column(16, status_interval=3000, status=interrupt_at(6000, events))
+    assert events == [
+        {"nodes": 3000, "depth": 9, "solutions": 0},
+        {"nodes": 6000, "depth": 8, "solutions": 0},
+        {"nodes": 6000, "depth": 16, "solutions": 0, "reason": "interrupt"},
+    ]
+    events = []
+    with pytest.raises(KeyboardInterrupt):
+        search_hdm(16, 2, status_interval=3000, status=interrupt_at(6000, events))
+    assert events == [
+        {"nodes": 3000, "depth": 8, "solutions": 0},
+        {"nodes": 6000, "depth": 7, "solutions": 0},
+        {"nodes": 6000, "depth": 14, "solutions": 0, "reason": "interrupt"},
+    ]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_workers_ignore_sigint_and_sigterm(forks):
     # Workers are born with both blocked, so no handler of the caller's
     # runs in one; the search's own end kills them.
     alive = []
 
     def poke(event):
+        if "reason" in event:
+            return
         for pid in forks:
             os.kill(pid, signal.SIGINT)
             os.kill(pid, signal.SIGTERM)
