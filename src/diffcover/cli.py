@@ -6,11 +6,21 @@ Arrays are always re-verified before emission, and stdout is
 byte-identical across identical runs.
 Each command imports only the modules it runs; ``json`` is imported
 only where JSON is read or written.
+
+A ``diffcover`` process (``run``, the console script and ``python -m
+diffcover``) ends once ``main`` has returned: it runs the callbacks
+registered with ``atexit``, flushes stdout and stderr, and leaves by
+``os._exit`` with ``main``'s code, skipping the interpreter's teardown.
+A broken pipe at that flush keeps the code and prints nothing.  Under a
+profiler or tracer, or when ``main`` raises, the process exits the
+normal way.  ``main`` itself returns its code to any caller.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import os
 import sys
 from importlib import import_module
 from itertools import combinations
@@ -309,19 +319,32 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()
         return code
     except BrokenPipeError:
-        # The reader closed stdout early, which is not a failure.  Point
-        # stdout at devnull so the flush at exit cannot fail again.
-        import os
-
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # The reader closed stdout early, which is not a failure.
+        _drop_stdout()
         return EXIT_OK
     except tuple(EXIT_CODES) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
 
 
+def _drop_stdout() -> None:
+    # Point stdout at devnull, so no later flush can fail again.
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def run() -> None:
-    sys.exit(main())
+    code = main()
+    if sys.getprofile() or sys.gettrace():
+        sys.exit(code)  # a profiler or tracer reports at the normal exit
+    # The interpreter's own order: the atexit callbacks, then the flush, so
+    # a callback's output is written too.
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _drop_stdout()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -230,12 +230,25 @@ METHODS: tuple[Method, ...] = (
 )
 
 
+# A build's peak memory grows by about 230 bytes per unit of order (22.5 MB
+# at order 29,998, 153.8 MB at 599,998), so MAX_ORDER keeps one under about
+# half a gigabyte.
+_BYTES_PER_ORDER = 230
+MAX_ORDER = 2_000_000
+
+
 def construct_by_method(order: int, method: str = "auto") -> tuple[ResidueArray, str]:
     """Construct a reduced strict DCA of an even order by a named method,
     or by the first method in ``METHODS`` that covers it when ``method`` is
-    "auto".  Returns the array and a method tag."""
+    "auto".  Returns the array and a method tag.  An order above
+    ``MAX_ORDER`` is refused before anything is built."""
     if order % 2 or order < 6:
         raise ValueError(f"order must be even and at least 6, got {order}")
+    if order > MAX_ORDER:
+        raise ValueError(
+            f"order {order} is above the largest order built, {MAX_ORDER:,}: at about {_BYTES_PER_ORDER}"
+            f" bytes per unit of order its build would take about {order * _BYTES_PER_ORDER // 10**6:,} MB"
+        )
     candidates = METHODS if method == "auto" else [m for m in METHODS if m.name == method]
     if not candidates:
         names = ", ".join(["auto", *(m.name for m in METHODS)])

@@ -12,7 +12,7 @@ residue occurs as a difference of two columns (:func:`diff_counts`).
 from __future__ import annotations
 
 from enum import Enum
-from itertools import chain
+from itertools import chain, islice
 from operator import sub
 from typing import Callable, Iterable, NamedTuple
 
@@ -222,6 +222,11 @@ def _json_int(v: object) -> int:
     return v
 
 
+# Rows a reader converts at a time: fewer than the collector's default
+# threshold of 700 allocations.
+_BLOCK_ROWS = 512
+
+
 def _build(
     fields: dict, rows: Iterable[Iterable], number: Callable[[object], int] = int, *, cols: tuple | None = None
 ) -> ResidueArray:
@@ -238,18 +243,26 @@ def _build(
         k, n, h = number(fields["k"]), number(fields["n"]), number(fields["h"])
         lam = number(fields["lambda"]) if "lambda" in fields else None
         if cols is None:
-            # Lists of k entries convert in one pass after the loop; any other row
-            # converts at once, with those before it, so errors come in row order.
-            flat, i = [], -1
-            for i, row in enumerate(rows):
-                if type(row) is not list or len(row) != k:
-                    flat = list(map(number, chain(flat, row)))
-                    if len(row) != k:
-                        raise ParseError(f"row {i} has {len(row)} entries, expected {k}")
-                else:
-                    flat += row
-            flat = tuple(map(number, flat))
-            cols = tuple(flat[j::k] for j in range(k)) if i >= 0 else ((),)
+            # Rows convert a block at a time, so only one block's tokens are
+            # held, and a block's row lists stay too few to start the cyclic
+            # collector.  A block whose rows are not all lists of k entries
+            # converts up to its first such row and then that row, so errors
+            # come in row order.
+            parts: list[list[int]] = []
+            rows = iter(rows)
+            for b, block in enumerate(iter(lambda: list(islice(rows, _BLOCK_ROWS)), [])):
+                if set(map(type, block)) != {list} or set(map(len, block)) != {k}:
+                    i = next(i for i, row in enumerate(block) if type(row) is not list or len(row) != k)
+                    list(map(number, chain(chain.from_iterable(block[:i]), block[i])))
+                    raise ParseError(f"row {b * _BLOCK_ROWS + i} has {len(block[i])} entries, expected {k}")
+                parts = parts or [[] for _ in range(k)]  # k is a row's length by now, not the header's alone
+                try:
+                    for part, col in zip(parts, zip(*block)):
+                        part += map(number, col)
+                except (ValueError, ParseError):
+                    list(map(number, chain.from_iterable(block)))  # the first bad entry in row order
+                    raise
+            cols = tuple(map(tuple, parts)) if parts else ((),)
         arr = ResidueArray(kind, n, h, form, cols)
     except (ValueError, TypeError) as exc:
         raise ParseError(str(exc)) from exc

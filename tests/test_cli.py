@@ -644,11 +644,21 @@ def test_help_exits_zero():
     assert main(["--help"]) == 0
 
 
-def _run_python(*args: str, stdin: str = "") -> subprocess.CompletedProcess:
+def _child_env() -> dict[str, str]:
+    # Buffered streams, so the flush at a process's end is exercised.
     env = dict(os.environ, PYTHONPATH=str(Path(diffcover.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def _run_python(*args: str, stdin: str = "") -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, *args], input=stdin, capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, *args], input=stdin, capture_output=True, text=True, env=_child_env(), timeout=60
     )
+
+
+def _run_bytes(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *args], capture_output=True, env=_child_env(), timeout=60)
 
 
 def test_python_m_matches_main(capsys):
@@ -656,6 +666,86 @@ def test_python_m_matches_main(capsys):
     want = capsys.readouterr().out
     proc = _run_python("-m", "diffcover", "construct", "--order", "26")
     assert (proc.returncode, proc.stdout) == (code, want)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--order", "26"],
+        ["verify", "{odd5}", "--strict"],
+        ["construct", "--order", "7"],
+        ["construct"],
+        ["construct", "--order", "38"],
+        ["construct", "--order", "1000000000018"],
+    ],
+    ids=["ok", "verify-fail", "usage", "argparse", "no-result", "too-large"],
+)
+def test_process_ends_with_mains_code_and_bytes(argv, tmp_path, capsys):
+    # A process leaves by os._exit once main has returned; its code, stdout
+    # and stderr are main's, byte for byte.
+    odd5 = tmp_path / "odd5.txt"
+    odd5.write_text("kind=DCA k=3 n=5 h=0 form=full\n" + "0 0 0\n" * 6)
+    argv = [arg.format(odd5=odd5) for arg in argv]
+    code = main(argv)
+    want = capsys.readouterr()
+    proc = _run_bytes("-m", "diffcover", *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, want.out.encode(), want.err.encode())
+    assert code in (0, 1, 2, 3)
+
+
+def test_output_larger_than_a_pipe_arrives_whole(tmp_path, capsys):
+    # About 500 KB, far more than a pipe holds, read to the end.
+    argv = ["construct", "--order", "29998"]
+    assert main(argv) == 0
+    want = capsys.readouterr()
+    proc = _run_bytes("-m", "diffcover", *argv)
+    assert len(want.out) > 400_000
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, want.out.encode(), want.err.encode())
+    # A file written with --out is complete and closed before the exit.
+    out = tmp_path / "a.txt"
+    proc = _run_bytes("-m", "diffcover", *argv, "--out", str(out))
+    assert (proc.returncode, proc.stdout) == (0, want.err.encode())
+    assert out.read_text() == want.out
+
+
+def test_atexit_callbacks_still_run():
+    # A callback registered before run() runs, and what it prints is
+    # flushed with the rest.
+    script = (
+        "import atexit, sys\n"
+        "from diffcover.cli import run\n"
+        "atexit.register(print, 'callback ran')\n"
+        "sys.argv[1:] = ['spectrum', '--min', '6', '--max', '6', '--format', 'csv']\n"
+        "run()\n"
+    )
+    proc = _run_python("-c", script)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "order,methods,status,source\n6,table,internal,table\ncallback ran\n"
+
+
+def test_profiler_still_prints_its_stats():
+    # Under a profiler the process exits the normal way, where cProfile
+    # prints.
+    proc = _run_python("-m", "cProfile", "-m", "diffcover", "spectrum", "--min", "6", "--max", "6")
+    assert proc.returncode == 0
+    assert proc.stdout.startswith('[{"order": 6, ')
+    assert "function calls" in proc.stdout and "Ordered by" in proc.stdout
+
+
+def test_a_bug_keeps_its_traceback_and_exit_1():
+    script = (
+        "import sys\n"
+        "from diffcover import cli\n"
+        "def broken(*args, **kwargs):\n"
+        "    raise RuntimeError('a bug')\n"
+        "cli.construct_by_method = broken\n"
+        "sys.argv[1:] = ['construct', '--order', '26']\n"
+        "cli.run()\n"
+    )
+    proc = _run_python("-c", script)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("Traceback (most recent call last):\n")
+    assert proc.stderr.endswith("RuntimeError: a bug\n")
 
 
 def test_cli_import_loads_no_dataclasses():
@@ -797,6 +887,25 @@ def test_reader_closed_before_the_flush_is_success():
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (0, b"")
+
+
+def test_broken_pipe_at_the_final_flush_keeps_the_code():
+    # main writes nothing to stdout and returns 2; an atexit callback's
+    # line then meets the closed pipe at run's flush, which keeps main's
+    # code and adds nothing to stderr.
+    script = (
+        "import atexit, sys\n"
+        "from diffcover.cli import run\n"
+        "atexit.register(print, 'late')\n"
+        "sys.argv[1:] = ['construct', '--order', '7']\n"
+        "run()\n"
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script], env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (2, b"error: order must be even and at least 6, got 7\n")
 
 
 @pytest.mark.parametrize(

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import tracemalloc
 
 import pytest
 
 from diffcover.construct import (
     ASYMPTOTIC_THRESHOLD,
+    MAX_ORDER,
     METHODS,
     RECORD,
     BadParams,
@@ -312,6 +314,30 @@ def test_construct_by_method():
         construct_by_method(24, "four-m")
     with pytest.raises(ValueError):
         construct_by_method(24, "bogus")
+
+
+@pytest.mark.parametrize("order", [MAX_ORDER + 2, 1_000_000_000_018], ids=["first-refused", "huge"])
+def test_orders_above_the_bound_are_refused_before_building(order):
+    # The refusal allocates nothing: tracemalloc's peak stays tiny where a
+    # build at the bound would take about half a gigabyte.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as info:
+            construct_by_method(order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    mb = order * 230 // 10**6
+    assert str(info.value) == (
+        f"order {order} is above the largest order built, 2,000,000: at about 230 bytes per unit"
+        f" of order its build would take about {mb:,} MB"
+    )
+
+
+def test_the_bound_admits_every_order_in_use():
+    # The benchmark builds orders up to 31,502, the tests up to 30,008.
+    assert MAX_ORDER == 2_000_000 > 31_502
 
 
 def test_methods_for_order():

@@ -19,6 +19,7 @@ from diffcover.core import (
     write_array,
 )
 
+import read_oracle
 from conftest import B_TEXT, mutate
 
 
@@ -237,6 +238,36 @@ def test_first_bad_entry_in_row_order_is_named(text):
     # 7 comes first in row order, 9 first in column order.
     with pytest.raises(ParseError, match=r"^entry 7 outside \[0, 6\)$"):
         read_array(text)
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        ({}, None),
+        ({3: "0 x", 5: "y 0"}, "invalid literal for int() with base 10: 'x'"),
+        ({511: "0 x", 512: "y 0"}, "invalid literal for int() with base 10: 'x'"),
+        ({600: "0 x", 700: "0 0 0"}, "invalid literal for int() with base 10: 'x'"),
+        ({600: "0 0 0", 700: "0 x"}, "row 600 has 3 entries, expected 2"),
+        ({1023: "0"}, "row 1023 has 1 entries, expected 2"),
+    ],
+    ids=["good", "column-order", "block-edge", "token-first", "shape-first", "last-row"],
+)
+def test_text_errors_come_in_row_order_across_blocks(edits, message):
+    # Text rows convert in blocks of 512, each column at once; the error
+    # named is still the first in row order, as the oracle names it.
+    lines = ["1 0"] * 1024
+    for i, line in edits.items():
+        lines[i] = line
+    text = "kind=DM k=2 n=1024 h=0 form=full\n" + "\n".join(lines) + "\n"
+    if message is None:
+        arr = read_array(text)
+        assert arr == read_oracle.read_array(text)
+        assert arr.cols == ((1,) * 1024, (0,) * 1024)
+        return
+    for read in (read_array, read_oracle.read_array):
+        with pytest.raises(ParseError) as info:
+            read(text)
+        assert str(info.value) == message
 
 
 def test_text_header_and_entries_go_through_int(b_full):
