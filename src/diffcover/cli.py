@@ -12,8 +12,10 @@ diffcover``) ends once ``main`` has returned: it runs the callbacks
 registered with ``atexit``, flushes stdout and stderr, and leaves by
 ``os._exit`` with ``main``'s code, skipping the interpreter's teardown.
 A broken pipe at that flush keeps the code and prints nothing.  Under a
-profiler or tracer, or when ``main`` raises, the process exits the
-normal way.  ``main`` itself returns its code to any caller.
+profiler or tracer (one set by ``sys.setprofile``, ``sys.settrace`` or,
+from Python 3.12, ``sys.monitoring``), or when ``main`` raises, the
+process exits the normal way.  ``main`` itself returns its code to any
+caller.
 """
 
 from __future__ import annotations
@@ -334,8 +336,12 @@ def _drop_stdout() -> None:
 
 def run() -> None:
     code = main()
-    if sys.getprofile() or sys.gettrace():
-        sys.exit(code)  # a profiler or tracer reports at the normal exit
+    # A profiler or tracer reports at the normal exit.  From Python 3.12
+    # cProfile registers through sys.monitoring, not sys.setprofile.
+    mon = getattr(sys, "monitoring", None)
+    watched = mon and (mon.get_tool(mon.PROFILER_ID) or mon.get_tool(mon.DEBUGGER_ID))
+    if watched or sys.getprofile() or sys.gettrace():
+        sys.exit(code)
     # The interpreter's own order: the atexit callbacks, then the flush, so
     # a callback's output is written too.
     atexit._run_exitfuncs()

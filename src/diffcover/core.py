@@ -245,24 +245,25 @@ def _build(
         if cols is None:
             # Rows convert a block at a time, so only one block's tokens are
             # held, and a block's row lists stay too few to start the cyclic
-            # collector.  A block whose rows are not all lists of k entries
-            # converts up to its first such row and then that row, so errors
-            # come in row order.
-            parts: list[list[int]] = []
+            # collector.  A block of lists of k entries converts in one pass;
+            # a block with any other row converts row by row, so errors come
+            # in row order.
+            parts: list[list[int]] | None = None
             rows = iter(rows)
             for b, block in enumerate(iter(lambda: list(islice(rows, _BLOCK_ROWS)), [])):
-                if set(map(type, block)) != {list} or set(map(len, block)) != {k}:
-                    i = next(i for i, row in enumerate(block) if type(row) is not list or len(row) != k)
-                    list(map(number, chain(chain.from_iterable(block[:i]), block[i])))
-                    raise ParseError(f"row {b * _BLOCK_ROWS + i} has {len(block[i])} entries, expected {k}")
-                parts = parts or [[] for _ in range(k)]  # k is a row's length by now, not the header's alone
-                try:
-                    for part, col in zip(parts, zip(*block)):
-                        part += map(number, col)
-                except (ValueError, ParseError):
-                    list(map(number, chain.from_iterable(block)))  # the first bad entry in row order
-                    raise
-            cols = tuple(map(tuple, parts)) if parts else ((),)
+                if set(map(type, block)) == {list} and set(map(len, block)) == {k}:
+                    flat = list(map(number, chain.from_iterable(block)))
+                else:
+                    flat = []
+                    for i, row in enumerate(block, b * _BLOCK_ROWS):
+                        flat += map(number, row)
+                        if len(row) != k:
+                            raise ParseError(f"row {i} has {len(row)} entries, expected {k}")
+                if parts is None:
+                    parts = [[] for _ in range(k)]
+                for j, part in enumerate(parts):
+                    part += flat[j::k]
+            cols = ((),) if parts is None else tuple(map(tuple, parts))
         arr = ResidueArray(kind, n, h, form, cols)
     except (ValueError, TypeError) as exc:
         raise ParseError(str(exc)) from exc

@@ -732,6 +732,29 @@ def test_profiler_still_prints_its_stats():
     assert "function calls" in proc.stdout and "Ordered by" in proc.stdout
 
 
+@pytest.mark.parametrize("tool", [None, "PROFILER_ID", "DEBUGGER_ID"])
+def test_a_sys_monitoring_tool_takes_the_normal_exit(tool):
+    # From Python 3.12 cProfile registers through sys.monitoring, which
+    # sys.getprofile() does not see; a stand-in gives the same view on any
+    # Python.  Only the normal exit raises SystemExit.
+    script = (
+        "import sys, types\n"
+        "from diffcover.cli import run\n"
+        "ids = dict(DEBUGGER_ID=0, COVERAGE_ID=1, PROFILER_ID=2)\n"
+        f"tools = {{ids[{tool!r}]: 'a tool'}} if {tool!r} else {{}}\n"
+        "sys.monitoring = types.SimpleNamespace(**ids, get_tool=tools.get)\n"
+        "sys.argv[1:] = ['construct', '--order', '7']\n"
+        "try:\n"
+        "    run()\n"
+        "except SystemExit as exc:\n"
+        "    print('normal exit', exc.code)\n"
+        "    raise\n"
+    )
+    proc = _run_python("-c", script)
+    assert (proc.returncode, proc.stderr) == (2, "error: order must be even and at least 6, got 7\n")
+    assert proc.stdout == ("normal exit 2\n" if tool else "")
+
+
 def test_a_bug_keeps_its_traceback_and_exit_1():
     script = (
         "import sys\n"

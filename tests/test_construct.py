@@ -335,11 +335,6 @@ def test_orders_above_the_bound_are_refused_before_building(order):
     )
 
 
-def test_the_bound_admits_every_order_in_use():
-    # The benchmark builds orders up to 31,502, the tests up to 30,008.
-    assert MAX_ORDER == 2_000_000 > 31_502
-
-
 def test_methods_for_order():
     assert methods_for_order(26) == ("odd-f",)
     assert methods_for_order(24) == ("table",)

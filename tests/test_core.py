@@ -253,7 +253,7 @@ def test_first_bad_entry_in_row_order_is_named(text):
     ids=["good", "column-order", "block-edge", "token-first", "shape-first", "last-row"],
 )
 def test_text_errors_come_in_row_order_across_blocks(edits, message):
-    # Text rows convert in blocks of 512, each column at once; the error
+    # Text rows convert in blocks of 512, each block at once; the error
     # named is still the first in row order, as the oracle names it.
     lines = ["1 0"] * 1024
     for i, line in edits.items():
@@ -268,6 +268,26 @@ def test_text_errors_come_in_row_order_across_blocks(edits, message):
         with pytest.raises(ParseError) as info:
             read(text)
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"kind": "DM", "k": 0, "n": 1, "h": 0, "form": "full", "entries": [[]]}',
+        '{"kind": "DM", "k": 0, "n": 1, "h": 0, "form": "full", "entries": [{}]}',
+        '{"kind": "DM", "k": 0, "n": 1, "h": 0, "form": "full", "entries": [[], [1]]}',
+        '{"kind": "DM", "k": 0, "n": 1, "h": 0, "form": "full", "entries": []}',
+        '{"kind": "DM", "k": 2, "n": 1, "h": 0, "form": "full", "entries": [[0, 0], {}, [0, "x"]]}',
+        "kind=DM k=0 n=1 h=0 form=full\n",
+    ],
+    ids=["empty-row", "empty-object", "then-a-longer-row", "no-row", "object-row", "text-no-row"],
+)
+def test_rows_of_no_entries_read_as_the_oracle_reads_them(text):
+    with pytest.raises(ParseError) as info:
+        read_array(text)
+    with pytest.raises(ParseError) as want:
+        read_oracle.read_array(text)
+    assert str(info.value) == str(want.value)
 
 
 def test_text_header_and_entries_go_through_int(b_full):
