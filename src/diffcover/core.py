@@ -227,14 +227,11 @@ def _json_int(v: object) -> int:
 _BLOCK_ROWS = 512
 
 
-def _build(
-    fields: dict, rows: Iterable[Iterable], number: Callable[[object], int] = int, *, cols: tuple | None = None
-) -> ResidueArray:
-    """The one validator behind both file formats: header ``fields`` and
+def _build(fields: dict, rows: Iterable[Iterable], number: Callable[[object], int] = int) -> ResidueArray:
+    """The one reader behind both file formats: header ``fields`` and
     entry ``rows`` in, a checked array or ParseError out.  ``number``
-    converts each header count and entry (``int`` for text tokens).
-    ``cols``, when given, are the entries already as columns of ints; the
-    array's own check still range-checks every entry."""
+    converts each header count and entry (``int`` for text tokens,
+    ``_json_int`` for JSON values)."""
     missing = [k for k in _HEADER_KEYS[:-1] if k not in fields]  # lambda is optional
     if missing:
         raise ParseError(f"header missing {', '.join(missing)}")
@@ -242,28 +239,27 @@ def _build(
         kind, form = Kind(fields["kind"]), Form(fields["form"])
         k, n, h = number(fields["k"]), number(fields["n"]), number(fields["h"])
         lam = number(fields["lambda"]) if "lambda" in fields else None
-        if cols is None:
-            # Rows convert a block at a time, so only one block's tokens are
-            # held, and a block's row lists stay too few to start the cyclic
-            # collector.  A block of lists of k entries converts in one pass;
-            # a block with any other row converts row by row, so errors come
-            # in row order.
-            parts: list[list[int]] | None = None
-            rows = iter(rows)
-            for b, block in enumerate(iter(lambda: list(islice(rows, _BLOCK_ROWS)), [])):
-                if set(map(type, block)) == {list} and set(map(len, block)) == {k}:
-                    flat = list(map(number, chain.from_iterable(block)))
-                else:
-                    flat = []
-                    for i, row in enumerate(block, b * _BLOCK_ROWS):
-                        flat += map(number, row)
-                        if len(row) != k:
-                            raise ParseError(f"row {i} has {len(row)} entries, expected {k}")
-                if parts is None:
-                    parts = [[] for _ in range(k)]
-                for j, part in enumerate(parts):
-                    part += flat[j::k]
-            cols = ((),) if parts is None else tuple(map(tuple, parts))
+        # Rows convert a block at a time, so only one block's text tokens
+        # are held, and a block's row lists stay too few to start the cyclic
+        # collector.  A block of lists of k entries converts in one pass;
+        # a block with any other row converts row by row, so errors come
+        # in row order.
+        parts: list[list[int]] | None = None
+        rows = iter(rows)
+        for b, block in enumerate(iter(lambda: list(islice(rows, _BLOCK_ROWS)), [])):
+            if set(map(type, block)) == {list} and set(map(len, block)) == {k}:
+                flat = list(map(number, chain.from_iterable(block)))
+            else:
+                flat = []
+                for i, row in enumerate(block, b * _BLOCK_ROWS):
+                    flat += map(number, row)
+                    if len(row) != k:
+                        raise ParseError(f"row {i} has {len(row)} entries, expected {k}")
+            if parts is None:
+                parts = [[] for _ in range(k)]
+            for j, part in enumerate(parts):
+                part += flat[j::k]
+        cols = ((),) if parts is None else tuple(map(tuple, parts))
         arr = ResidueArray(kind, n, h, form, cols)
     except (ValueError, TypeError) as exc:
         raise ParseError(str(exc)) from exc
@@ -276,20 +272,6 @@ def _build(
             hole = f" with hole {h}" if kind is Kind.HDM else ""
             raise ParseError(f"lambda={lam} inconsistent with {arr.rows} rows over Z_{n}{hole}")
     return arr
-
-
-def _json_columns(rows: object, k: object) -> tuple[tuple[int, ...], ...] | None:
-    """The columns of ``rows`` when it is a list of lists of exactly ``k``
-    JSON integers, else None.  ``type(v) is int`` rejects ``true``."""
-    if (
-        type(k) is int
-        and type(rows) is list
-        and set(map(type, rows)) == {list}
-        and set(map(len, rows)) == {k}
-        and set(map(type, chain.from_iterable(rows))) == {int}
-    ):
-        return tuple(zip(*rows))
-    return None
 
 
 def read_array(text: str) -> ResidueArray:
@@ -309,8 +291,7 @@ def read_array(text: str) -> ResidueArray:
         # Text that starts with "{" and parses is an object.
         if "entries" not in obj:
             raise ParseError("JSON array file has no entries")
-        rows = obj["entries"]
-        return _build(obj, rows, _json_int, cols=_json_columns(rows, obj.get("k")))
+        return _build(obj, obj["entries"], _json_int)
     lines = text.splitlines()
     if "#" in text:
         lines = [line.split("#", 1)[0] for line in lines]

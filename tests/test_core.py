@@ -240,25 +240,47 @@ def test_first_bad_entry_in_row_order_is_named(text):
         read_array(text)
 
 
-@pytest.mark.parametrize(
-    "edits, message",
-    [
-        ({}, None),
-        ({3: "0 x", 5: "y 0"}, "invalid literal for int() with base 10: 'x'"),
-        ({511: "0 x", 512: "y 0"}, "invalid literal for int() with base 10: 'x'"),
-        ({600: "0 x", 700: "0 0 0"}, "invalid literal for int() with base 10: 'x'"),
-        ({600: "0 0 0", 700: "0 x"}, "row 600 has 3 entries, expected 2"),
-        ({1023: "0"}, "row 1023 has 1 entries, expected 2"),
-    ],
-    ids=["good", "column-order", "block-edge", "token-first", "shape-first", "last-row"],
-)
-def test_text_errors_come_in_row_order_across_blocks(edits, message):
-    # Text rows convert in blocks of 512, each block at once; the error
-    # named is still the first in row order, as the oracle names it.
-    lines = ["1 0"] * 1024
-    for i, line in edits.items():
-        lines[i] = line
-    text = "kind=DM k=2 n=1024 h=0 form=full\n" + "\n".join(lines) + "\n"
+_INT_X = "invalid literal for int() with base 10: 'x'"
+_JSON_STR = "expected a JSON integer, got str"
+_JSON_BOOL = "expected a JSON integer, got bool"
+_JSON_FLOAT = "expected a JSON integer, got float"
+
+# Edits to a DM of 1,024 rows [1, 0], which the reader converts in two
+# blocks of 512: rows 511-513 sit on the block edge, 1023 is the last row.
+# Each case names the error the first bad row in row order gives, as text
+# and as JSON.
+_BLOCK_CASES = [  # (id, edits, text message, JSON message)
+    ("good", {}, None, None),
+    ("column-order", {3: [0, "x"], 5: ["y", 0]}, _INT_X, _JSON_STR),
+    ("block-edge", {511: [0, "x"], 512: ["y", 0]}, _INT_X, _JSON_STR),
+    ("token-first", {600: [0, "x"], 700: [0, 0, 0]}, _INT_X, _JSON_STR),
+    ("shape-first", {600: [0, 0, 0], 700: [0, "x"]}, *["row 600 has 3 entries, expected 2"] * 2),
+    ("last-row", {1023: [0]}, *["row 1023 has 1 entries, expected 2"] * 2),
+]
+
+# Values only JSON can spell: true and 1.0 entries, a {} row.
+_JSON_BLOCK_CASES = [
+    pytest.param({511: [0, True], 512: [0, 1.0]}, _JSON_BOOL, id="bool-at-edge"),
+    pytest.param({512: [1.0, 0], 513: {}}, _JSON_FLOAT, id="float-after-edge"),
+    pytest.param({511: {}, 512: [0, True]}, "row 511 has 0 entries, expected 2", id="object-row-at-edge"),
+    pytest.param({513: [0], 1023: [0, 1.0]}, "row 513 has 1 entries, expected 2", id="short-row-after-edge"),
+    pytest.param({1023: [0, True]}, _JSON_BOOL, id="bool-last-row"),
+    pytest.param({1023: {}}, "row 1023 has 0 entries, expected 2", id="object-last-row"),
+]
+
+
+def _block_file(fmt: str, edits: dict) -> str:
+    rows = [[1, 0]] * 1024
+    for i, row in edits.items():
+        rows[i] = row
+    if fmt == "json":
+        return json.dumps({"kind": "DM", "k": 2, "n": 1024, "h": 0, "form": "full", "entries": rows})
+    return "kind=DM k=2 n=1024 h=0 form=full\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows)
+
+
+def _reads_as_the_oracle_across_blocks(text: str, message: str | None) -> None:
+    # Rows convert in blocks of 512, each block at once; the error named is
+    # still the first in row order, as the oracle names it.
     if message is None:
         arr = read_array(text)
         assert arr == read_oracle.read_array(text)
@@ -268,6 +290,20 @@ def test_text_errors_come_in_row_order_across_blocks(edits, message):
         with pytest.raises(ParseError) as info:
             read(text)
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize("edits, message", [pytest.param(e, t, id=i) for i, e, t, _ in _BLOCK_CASES])
+def test_text_errors_come_in_row_order_across_blocks(edits, message):
+    _reads_as_the_oracle_across_blocks(_block_file("text", edits), message)
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [pytest.param(e, j, id=i) for i, e, _, j in _BLOCK_CASES] + _JSON_BLOCK_CASES,
+)
+def test_json_errors_come_in_row_order_across_blocks(edits, message):
+    # JSON goes through the same block reader as text.
+    _reads_as_the_oracle_across_blocks(_block_file("json", edits), message)
 
 
 @pytest.mark.parametrize(
