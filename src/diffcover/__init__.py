@@ -32,7 +32,6 @@ _MODULES = {
         "verify_hdm",
     ),
     "construct": (
-        "BadParams",
         "SpectrumEntry",
         "construct_4m",
         "construct_6mu",

@@ -77,8 +77,8 @@ EXIT_NO_RESULT = 3
 # The one place an error becomes an exit code: ``main`` prints
 # ``error: {exc}`` for any of these, or the class name when the error has
 # no text (an interrupt or running out of memory), and returns the first
-# matching code.  ValueError covers UnicodeDecodeError from a file that is
-# not UTF-8.
+# matching code.  ValueError covers every bad constructor argument and
+# UnicodeDecodeError from a file that is not UTF-8.
 EXIT_CODES: dict[type[BaseException], int] = {
     CertificationFailed: EXIT_VERIFY,
     NoSolution: EXIT_NO_RESULT,

@@ -5,8 +5,9 @@ composition combinators (hole insertion and the HDM x DM product).
 Every family builds a reduced 2m x 3 array whose full form is a cyclic
 DCA(4, 2m+1; 2m) with zero occurring twice per column and every off-pair
 difference multiset equal to the nonzero residues with n/2 doubled.
-Constructors validate their parameters; the verifiers in
-:mod:`diffcover.verify` independently certify every output.
+Constructors validate their parameters and raise ValueError on a bad
+one; the verifiers in :mod:`diffcover.verify` independently certify
+every output.
 """
 
 from __future__ import annotations
@@ -15,13 +16,7 @@ from math import gcd, isqrt
 from typing import Callable, Iterator, NamedTuple
 
 from . import tables
-from .core import CertificationFailed, DesignError, Form, Kind, NoSolution, ResidueArray, to_full
-
-
-class BadParams(DesignError):
-    """A constructor argument is unusable: family or prime-DM parameters
-    violate a gcd, congruence, range, index or primality condition, or a
-    combinator input fails its verifier or shape requirements."""
+from .core import CertificationFailed, Form, Kind, NoSolution, ResidueArray, to_full
 
 
 def _affine_dca(
@@ -48,15 +43,15 @@ def construct_odd(m: int, f: int) -> ResidueArray:
     """
     n = 2 * m
     if m < 2:
-        raise BadParams(f"m must be at least 2, got {m}")
+        raise ValueError(f"m must be at least 2, got {m}")
     if gcd(f, n) != 2:
-        raise BadParams(f"gcd(f, 2m) = gcd({f}, {n}) = {gcd(f, n)}, expected 2")
+        raise ValueError(f"gcd(f, 2m) = gcd({f}, {n}) = {gcd(f, n)}, expected 2")
     if gcd(f + 2, n) != 2:
-        raise BadParams(f"gcd(f+2, 2m) = gcd({f + 2}, {n}) = {gcd(f + 2, n)}, expected 2")
+        raise ValueError(f"gcd(f+2, 2m) = gcd({f + 2}, {n}) = {gcd(f + 2, n)}, expected 2")
     if (f * f + f + 1 - m) % n:
-        raise BadParams(f"f^2+f+1 = {f * f + f + 1} is not {m} mod {n}")
+        raise ValueError(f"f^2+f+1 = {f * f + f + 1} is not {m} mod {n}")
     if not m + 3 <= f <= n - 4:
-        raise BadParams(f"f = {f} outside [m+3, 2m-4] = [{m + 3}, {n - 4}]")
+        raise ValueError(f"f = {f} outside [m+3, 2m-4] = [{m + 3}, {n - 4}]")
     # Consequences of the assumptions; failures would be internal bugs.
     assert gcd(f, m) == 1 and gcd(f + 1, m) == 1 and gcd(f - 1, m) == 1
     assert gcd(2 * f + 1, m) == 1 and (m * f) % n == 0
@@ -70,7 +65,7 @@ def params_odd(i: int) -> tuple[int, int]:
     """Parameters of the infinite subfamily indexed by i >= 0, i != 2 mod 3:
     m = 2(2i^2+7i+6)+1 and f = m+3+2i."""
     if i < 0 or i % 3 == 2:
-        raise BadParams(f"index must be non-negative and not 2 mod 3, got {i}")
+        raise ValueError(f"index must be non-negative and not 2 mod 3, got {i}")
     m = 2 * (2 * i * i + 7 * i + 6) + 1
     return m, m + 3 + 2 * i
 
@@ -86,7 +81,7 @@ def construct_4m(k: int) -> ResidueArray:
     Column 2 then has slope 2m-f+2 = 4.
     """
     if k < 0 or k % 3 == 1:
-        raise BadParams(f"index must be non-negative and not 1 mod 3, got {k}")
+        raise ValueError(f"index must be non-negative and not 1 mod 3, got {k}")
     m = 4 * k + 2
     offsets = ((0, 2 * m - 3, 3), (0, 2 * m - 3, -m), (0, 0, m + 3), (0, 0, 0))
     return _affine_dca(4 * m, (0, m, 2 * m, 3 * m, 4 * m), (1, 2 * m - 2, 4), offsets)
@@ -100,7 +95,7 @@ def construct_6mu(mu: int) -> ResidueArray:
     intervals.
     """
     if mu < 1 or mu % 2 == 0:
-        raise BadParams(f"mu must be an odd positive integer, got {mu}")
+        raise ValueError(f"mu must be an odd positive integer, got {mu}")
     n = 6 * mu + 4
     h, b, c = 3 * mu, 2 * mu + 2, 5 * mu + 4
     bounds = (0, mu, 2 * mu + 1, 3 * mu + 2, 4 * mu + 3, 5 * mu + 3, n)
@@ -129,18 +124,19 @@ def dm_prime(p: int, k: int) -> ResidueArray:
     table q(i, j) = i*(j+1) for j < k-1 with an all-zero last column, rows
     rotated so the zero row comes last."""
     if not _is_prime(p):
-        raise BadParams(f"{p} is not prime")
+        raise ValueError(f"{p} is not prime")
     if k > p:
-        raise BadParams(f"k = {k} exceeds p = {p}")
+        raise ValueError(f"k = {k} exceeds p = {p}")
     if k < 1:
-        raise BadParams(f"k must be positive, got {k}")
+        raise ValueError(f"k must be positive, got {k}")
     cols = [tuple([v % p for v in range(s, s * p, s)] + [0]) for s in range(1, k)]
     return ResidueArray(Kind.DM, p, 0, Form.FULL, (*cols, (0,) * p))
 
 
 def _require(condition: bool, message: str) -> None:
+    """Refuse a bad combinator input; the CLI maps ValueError to exit 2."""
     if not condition:
-        raise BadParams(message)
+        raise ValueError(message)
 
 
 def insert_hole(hdm: ResidueArray, dca_hole: ResidueArray) -> ResidueArray:

@@ -78,8 +78,8 @@ class _ResidueArray(NamedTuple):
 
 class ResidueArray(Record, _ResidueArray):
     """Rectangular array of residues mod ``order`` with design metadata, held
-    as its columns ``cols``; ``from_rows`` builds one from rows, ``entries``
-    gives them back.
+    as its columns ``cols``: it is built from its columns or read from a
+    file (:func:`read_array`).
 
     ``hole`` is 0 for DM/DCA; for an HDM it is the order h of the hole
     subgroup H = {0, u, 2u, ...} with u = order/h.  ``form`` is reduced
@@ -122,21 +122,6 @@ class ResidueArray(Record, _ResidueArray):
             hole = f" with hole {h}" if h else ""
             raise ValueError(f"{self.kind.value} over Z_{n}{hole} needs a multiple of {n - h} rows, got {count}")
 
-    @classmethod
-    def from_rows(
-        cls,
-        kind: Kind,
-        order: int,
-        rows: Iterable[Iterable[int]],
-        hole: int = 0,
-        form: Form = Form.FULL,
-    ) -> ResidueArray:
-        rows = tuple(map(tuple, rows))
-        if len(set(map(len, rows))) > 1:  # zip would drop a longer row's extra entries
-            raise ValueError("ragged rows")
-        # No rows is one empty column, which the check refuses.
-        return cls(kind, order, hole, form, tuple(zip(*rows)) if rows else ((),))
-
     @property
     def rows(self) -> int:
         return len(self.cols[0])
@@ -144,11 +129,6 @@ class ResidueArray(Record, _ResidueArray):
     @property
     def columns(self) -> int:
         return len(self.cols)
-
-    @property
-    def entries(self) -> tuple[tuple[int, ...], ...]:
-        """The rows, built on each read."""
-        return tuple(zip(*self.cols))
 
     def column(self, j: int) -> tuple[int, ...]:
         if not 0 <= j < self.columns:

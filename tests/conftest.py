@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from typing import Iterable, Iterator
+
 import pytest
 from hypothesis import settings
 
@@ -38,12 +41,42 @@ def b_full() -> ResidueArray:
 
 @pytest.fixture
 def b_reduced() -> ResidueArray:
-    return ResidueArray.from_rows(
-        Kind.DCA, 6, zip(*B_REDUCED_COLUMNS), form=Form.REDUCED
-    )
+    return ResidueArray(Kind.DCA, 6, 0, Form.REDUCED, B_REDUCED_COLUMNS)
+
+
+def from_rows(
+    kind: Kind, order: int, rows: Iterable[Iterable[int]], hole: int = 0, form: Form = Form.FULL
+) -> ResidueArray:
+    """An array written row by row, as the paper prints its examples.  No
+    rows is one empty column, which the array refuses; rows of different
+    lengths raise ValueError from zip."""
+    rows = [tuple(row) for row in rows]
+    return ResidueArray(kind, order, hole, form, tuple(zip(*rows, strict=True)) if rows else ((),))
+
+
+def rows_of(arr: ResidueArray) -> tuple[tuple[int, ...], ...]:
+    """The rows of an array, built from its columns."""
+    return tuple(zip(*arr.cols))
+
+
+def exit_code(exc: BaseException) -> int:
+    """The code ``main`` returns when ``exc`` reaches it."""
+    from diffcover.cli import EXIT_CODES
+
+    return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
+
+
+@contextmanager
+def refused(match: str | None = None) -> Iterator[pytest.ExceptionInfo]:
+    """Expect a bad argument: a ValueError of exactly that type, so the CLI
+    exits 2 on it."""
+    with pytest.raises(ValueError, match=match) as info:
+        yield info
+    assert type(info.value) is ValueError and exit_code(info.value) == 2
 
 
 def mutate(arr: ResidueArray, i: int, j: int, value: int) -> ResidueArray:
-    rows = [list(row) for row in arr.entries]
-    rows[i][j] = value
-    return ResidueArray.from_rows(arr.kind, arr.order, rows, hole=arr.hole, form=arr.form)
+    """The array with entry (i, j) set to ``value``."""
+    cols = [list(col) for col in arr.cols]
+    cols[j][i] = value
+    return arr._replace(cols=tuple(map(tuple, cols)))

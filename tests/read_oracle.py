@@ -39,7 +39,7 @@ def _build(fields: dict, rows: Iterable[Iterable], number: Callable[[object], in
             if len(row) != k:
                 raise ParseError(f"row {len(entries)} has {len(row)} entries, expected {k}")
             entries.append(row)
-        arr = ResidueArray.from_rows(kind, n, entries, h, form)
+        arr = ResidueArray(kind, n, h, form, tuple(zip(*entries)) if entries else ((),))
     except (ValueError, TypeError) as exc:
         raise ParseError(str(exc)) from exc
     count = arr.rows

@@ -12,12 +12,9 @@ import time
 from collections import Counter
 from pathlib import Path
 
-import pytest
-
 from diffcover.construct import (
     METHODS,
     RECORD,
-    BadParams,
     construct_4m,
     construct_6mu,
     construct_by_method,
@@ -38,7 +35,7 @@ from diffcover.search import search_hdm, search_third_column
 from diffcover.tables import SEARCHED_THIRD_COLUMNS, dca_from_third_column
 from diffcover.verify import verify_dca, verify_hdm
 
-from conftest import B_TEXT, mutate
+from conftest import B_TEXT, mutate, refused
 from latin_oracle import mnols_set_check, superimpose
 from search_oracle import enumerate_third_columns
 from test_construct import (
@@ -108,8 +105,8 @@ def produced_dcas():
 
     def emit(label: str, arr: ResidueArray):
         reduced = to_reduced(arr) if arr.form is Form.FULL else arr
-        if reduced.entries not in seen:
-            seen.add(reduced.entries)
+        if reduced.cols not in seen:
+            seen.add(reduced.cols)
             return [(label, reduced)]
         return []
 
@@ -155,7 +152,7 @@ def test_criterion_02_worked_example_reproduction():
             (2, 1): EXAMPLE_26_C_MINUS_B,
         }
         for (j, jp), expected in diffs.items():
-            got = tuple((row[j] - row[jp]) % 26 for row in arr.entries)
+            got = tuple((a - b) % 26 for a, b in zip(arr.cols[j], arr.cols[jp]))
             assert got == expected
             assert got.count(13) == 2
         return arr
@@ -271,14 +268,14 @@ def _witness_is_correct(bad: ResidueArray, report) -> bool:
         return False
     if failing.name == "coverage":
         j, jp = w["pair"]
-        counts = Counter((row[j] - row[jp]) % bad.order for row in bad.entries)
+        counts = Counter((a - b) % bad.order for a, b in zip(bad.cols[j], bad.cols[jp]))
         return counts.get(w["residue"], 0) == w["actual"] == 0
     if failing.name == "zero-twice-per-column":
-        zeros = sum(1 for row in bad.entries if row[w["column"]] == 0)
+        zeros = bad.cols[w["column"]].count(0)
         return zeros == w["actual"] < 2
     if failing.name == "difference-profile":
         j, jp = w["pair"]
-        counts = Counter((row[j] - row[jp]) % bad.order for row in bad.entries[:-1])
+        counts = Counter((a - b) % bad.order for a, b in zip(bad.cols[j][:-1], bad.cols[jp][:-1]))
         d = w["residue"]
         want = 0 if d == 0 else 2 if d == bad.order // 2 else 1
         return counts.get(d, 0) == w["actual"] != want == w["expected"]
@@ -297,7 +294,7 @@ def test_criterion_09_negative_controls():
                 # rows, so mutations here are undetectable by design.
                 continue
             for v in range(6):
-                if v != golden.entries[i][j]:
+                if v != golden.cols[j][i]:
                     mutations.append((i, j, v))
     assert len(mutations) >= 100
     for i, j, v in mutations[:100]:
@@ -305,11 +302,11 @@ def test_criterion_09_negative_controls():
         report = verify_dca(bad, strict=True)
         assert not report.passed, (i, j, v)
         assert _witness_is_correct(bad, report), (i, j, v)
-    with pytest.raises(BadParams):
+    with refused():
         construct_odd(13, 15)
-    with pytest.raises(BadParams, match="not 1 mod 3"):
+    with refused("not 1 mod 3"):
         construct_4m(1)
-    with pytest.raises(BadParams):
+    with refused():
         construct_6mu(2)
     report_line(9, "negative-controls (100 mutations)", time.perf_counter() - t0, 30.0)
 

@@ -132,7 +132,7 @@ def test_verify_hdm_file(tmp_path, capsys):
     path.write_text(write_array(arr))
     assert main(["verify", str(path)]) == 0
     assert capsys.readouterr().out.endswith("verdict: pass\n")
-    path.write_text(write_array(mutate(arr, 0, 1, (arr.entries[0][1] + 1) % arr.order)))
+    path.write_text(write_array(mutate(arr, 0, 1, (arr.cols[1][0] + 1) % arr.order)))
     assert main(["verify", str(path)]) == 1
     *lines, verdict = capsys.readouterr().out.splitlines()
     assert verdict == "verdict: fail"
@@ -453,8 +453,7 @@ def naive_latin_stdout(reduced, indices, fmt: str) -> str:
     """What ``latin --classify --williams`` prints, rendered from cell-by-cell
     grids and the grid oracle's verdicts."""
     n = reduced.order
-    columns = list(zip(*reduced.entries))
-    squares = [oracle.cyclic_grid(n, columns[s]) for s in indices]
+    squares = [oracle.cyclic_grid(n, reduced.cols[s]) for s in indices]
     ordering = williams_order(n)
     labels = [[oracle.classify(a, b).value for b in squares] for a in squares]
     complete = [oracle.check_row_complete(sq, ordering).passed for sq in squares]
@@ -493,7 +492,7 @@ def test_latin_stdout_matches_naive_rendering(order, tmp_path, capsys):
         assert code == 0
         assert capsys.readouterr().out == naive_latin_stdout(arr, [0, 1, 2], fmt), fmt
     assert main(["latin", str(path), "--square", "1"]) == 0
-    square = oracle.cyclic_grid(order, [row[1] for row in arr.entries])
+    square = oracle.cyclic_grid(order, arr.cols[1])
     want = f"kind=LS n={order}\n" + "".join(" ".join(map(str, row)) + "\n" for row in square.grid)
     assert capsys.readouterr().out == want
 
@@ -946,3 +945,11 @@ def test_errors_without_text_are_one_named_line(name, exc, argv, code, line, mon
     monkeypatch.setattr(diffcover.cli, name, fail)
     assert main(argv) == code
     assert capsys.readouterr() == ("", line)
+
+
+def test_a_refused_constructor_argument_exits_2(monkeypatch, capsys):
+    # A method whose family refuses its parameter, as a method built from
+    # the combinators may: the ValueError is a usage error on one line.
+    monkeypatch.setattr(diffcover.cli, "construct_by_method", lambda order, method: construct_odd(13, 13))
+    assert main(["construct", "--order", "26"]) == 2
+    assert capsys.readouterr() == ("", "error: gcd(f, 2m) = gcd(13, 26) = 13, expected 2\n")

@@ -20,7 +20,7 @@ from diffcover.core import (
 )
 
 import read_oracle
-from conftest import B_TEXT, mutate
+from conftest import B_TEXT, from_rows, mutate
 
 
 def test_diff_multiset_on_golden(b_full):
@@ -66,20 +66,20 @@ def test_to_reduced_rejects_reduced_input(b_reduced):
 
 def test_array_validation():
     with pytest.raises(ValueError):
-        ResidueArray.from_rows(Kind.DCA, 0, [(0,)])
+        ResidueArray(Kind.DCA, 0, 0, Form.FULL, ((0,),))
     with pytest.raises(ValueError):
-        ResidueArray.from_rows(Kind.DCA, 6, [(0, 6)])
+        ResidueArray(Kind.DCA, 6, 0, Form.FULL, ((0,), (6,)))
     with pytest.raises(ValueError):
-        ResidueArray.from_rows(Kind.DCA, 6, [(0, 1), (0,)])
+        ResidueArray(Kind.DCA, 6, 0, Form.FULL, ((0, 0), (1,)))
     with pytest.raises(ValueError):
-        ResidueArray.from_rows(Kind.HDM, 10, [(1, 0)], hole=3)
+        ResidueArray(Kind.HDM, 10, 3, Form.FULL, ((1,), (0,)))
     with pytest.raises(ValueError):
-        ResidueArray.from_rows(Kind.DM, 5, [(0, 0)], hole=1)
+        ResidueArray(Kind.DM, 5, 1, Form.FULL, ((0,), (0,)))
     with pytest.raises(ValueError):
-        ResidueArray.from_rows(Kind.DM, 5, [(0, 0)], form=Form.REDUCED)
+        ResidueArray(Kind.DM, 5, 0, Form.REDUCED, ((0,), (0,)))
     # The smallest shapes the bounds admit: order 1, and hole 1.
-    assert ResidueArray.from_rows(Kind.DM, 1, [(0, 0)]).order == 1
-    assert ResidueArray.from_rows(Kind.HDM, 2, [(1, 1)], hole=1).hole == 1
+    assert ResidueArray(Kind.DM, 1, 0, Form.FULL, ((0,), (0,))).order == 1
+    assert ResidueArray(Kind.HDM, 2, 1, Form.FULL, ((1,), (1,))).hole == 1
 
 
 def test_column_index_bounds(b_reduced):
@@ -142,7 +142,7 @@ def test_text_rows_match_joined_str(n, k):
     # Each row is written with one "%d ..." format; the bytes are those
     # of joining str() of the entries, the earlier rendering.
     rows = [tuple(i * (j + 1) % n for j in range(k - 1)) + (0,) for i in range(n)]
-    arr = ResidueArray.from_rows(Kind.DM, n, rows)
+    arr = from_rows(Kind.DM, n, rows)
     header = f"kind=DM k={k} n={n} h=0 form=full lambda=1"
     want = "\n".join([header, *(" ".join(str(v) for v in row) for row in rows)]) + "\n"
     assert write_array(arr) == want

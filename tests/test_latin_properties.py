@@ -34,7 +34,7 @@ def grid(square: LatinSquare) -> oracle.GridSquare:
 
 # Columns of the reduced DCA that construction gives at each order it covers.
 DCA_COLUMNS = {
-    n: tuple(zip(*construct_by_method(n)[0].entries))
+    n: construct_by_method(n)[0].cols
     for n in range(6, MAX_ORDER + 1, 2)
     if methods_for_order(n)
 }

@@ -11,7 +11,6 @@ import pytest
 
 import diffcover
 from diffcover.construct import (
-    BadParams,
     SpectrumEntry,
     construct_6mu,
     construct_by_method,
@@ -22,6 +21,8 @@ from diffcover.core import Form, Kind, ResidueArray, to_full, write_array
 from diffcover.latin import LatinSquare, check_row_complete
 from diffcover.search import search_hdm, search_third_column
 from diffcover.verify import Check, VerificationReport, verify_dca, verify_hdm
+
+from conftest import exit_code
 
 
 def test_every_public_name_resolves():
@@ -152,13 +153,13 @@ def test_reports_do_not_share_meta():
         (lambda: search_third_column(14, status_interval=-1), ValueError,
          "status interval must be non-negative, got -1"),
         (lambda: search_hdm(10, 2, status_interval=-3), ValueError, "status interval must be non-negative, got -3"),
-        (lambda: construct_odd(13, 13), BadParams, "gcd(f, 2m) = gcd(13, 26) = 13, expected 2"),
-        (lambda: construct_odd(m=13, f=14), BadParams, "f^2+f+1 = 211 is not 13 mod 26"),
-        (lambda: construct_odd(5, 8), BadParams, "gcd(f+2, 2m) = gcd(10, 10) = 10, expected 2"),
-        (lambda: construct_odd(13, 42), BadParams, "f = 42 outside [m+3, 2m-4] = [16, 22]"),
-        (lambda: dm_prime(0, 1), BadParams, "0 is not prime"),
-        (lambda: dm_prime(1, 1), BadParams, "1 is not prime"),
-        (lambda: construct_6mu(mu=2), BadParams, "mu must be an odd positive integer, got 2"),
+        (lambda: construct_odd(13, 13), ValueError, "gcd(f, 2m) = gcd(13, 26) = 13, expected 2"),
+        (lambda: construct_odd(m=13, f=14), ValueError, "f^2+f+1 = 211 is not 13 mod 26"),
+        (lambda: construct_odd(5, 8), ValueError, "gcd(f+2, 2m) = gcd(10, 10) = 10, expected 2"),
+        (lambda: construct_odd(13, 42), ValueError, "f = 42 outside [m+3, 2m-4] = [16, 22]"),
+        (lambda: dm_prime(0, 1), ValueError, "0 is not prime"),
+        (lambda: dm_prime(1, 1), ValueError, "1 is not prime"),
+        (lambda: construct_6mu(mu=2), ValueError, "mu must be an odd positive integer, got 2"),
     ],
 )
 def test_record_validation(make, error, message):
@@ -166,10 +167,11 @@ def test_record_validation(make, error, message):
         make()
     assert type(info.value) is error
     assert str(info.value) == message
+    # Each is a bad argument, which the CLI maps to exit 2.
+    assert exit_code(info.value) == 2
 
 
-# Each shape error of an array given as columns, and of one given as rows,
-# with the message the row layout gave.
+# Each shape error of an array given as columns.
 SHAPES = {
     "no-column": (lambda: ResidueArray(Kind.DCA, 6, 0, Form.FULL, ()), "array must have at least one column"),
     "no-row": (lambda: ResidueArray(Kind.DCA, 6, 0, Form.FULL, ((), ())), "array must have at least one row"),
@@ -177,12 +179,10 @@ SHAPES = {
     # comes first in column 0.
     "bad-entries": (lambda: ResidueArray(Kind.DCA, 6, 0, Form.FULL, ((0, 9), (7, 0))), "entry 7 outside [0, 6)"),
     "negative-entry": (lambda: ResidueArray(Kind.DCA, 6, 0, Form.FULL, ((0, 1), (0, -1))), "entry -1 outside [0, 6)"),
-    # From rows, a short or a long row is ragged, never cut to fit.
-    "short-row": (lambda: ResidueArray.from_rows(Kind.DCA, 6, [(0, 1), (1,), (2, 3)]), "ragged rows"),
-    "long-row": (lambda: ResidueArray.from_rows(Kind.DCA, 6, [(0, 1), (1, 2, 3), (2, 3)]), "ragged rows"),
-    "bad-entries-by-rows": (lambda: ResidueArray.from_rows(Kind.DCA, 6, [(0, 7), (9, 0)]), "entry 7 outside [0, 6)"),
-    "no-row-by-rows": (lambda: ResidueArray.from_rows(Kind.DCA, 6, []), "array must have at least one row"),
-    "no-column-by-rows": (lambda: ResidueArray.from_rows(Kind.DCA, 6, [(), ()]), "array must have at least one column"),
+    # Columns of unequal length are ragged, never cut to fit, whether a
+    # later column is shorter than the first (a short last row) or longer.
+    "short-row": (lambda: ResidueArray(Kind.DCA, 6, 0, Form.FULL, ((0, 1, 2), (1, 2, 3), (2, 3))), "ragged rows"),
+    "long-row": (lambda: ResidueArray(Kind.DCA, 6, 0, Form.FULL, ((0, 1), (1, 2, 3), (2, 3))), "ragged rows"),
 }
 
 

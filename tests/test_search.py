@@ -28,13 +28,12 @@ from diffcover.search import (
 from diffcover.tables import odd_even_column
 from diffcover.verify import verify_dca, verify_hdm
 
-from conftest import B_REDUCED_COLUMNS
+from conftest import B_REDUCED_COLUMNS, rows_of
 from search_oracle import OrderTooLarge, enumerate_third_columns
 
 
 def assemble(order: int, col2: tuple[int, ...]) -> ResidueArray:
-    rows = zip(range(order), odd_even_column(order), col2)
-    return ResidueArray.from_rows(Kind.DCA, order, rows, form=Form.REDUCED)
+    return ResidueArray(Kind.DCA, order, 0, Form.REDUCED, (tuple(range(order)), odd_even_column(order), col2))
 
 
 def test_order_six_default_columns_match_golden():
@@ -140,7 +139,7 @@ def test_budgets_are_exact():
     assert search_third_column(14, result_limit=1, node_budget=15_994) == [first]
     with pytest.raises(BudgetExhausted, match="^no solution within 15993 nodes$"):
         search_third_column(14, result_limit=1, node_budget=15_993)
-    assert search_hdm(14, 2, node_budget=1231).entries == search_hdm(14, 2).entries
+    assert search_hdm(14, 2, node_budget=1231).cols == search_hdm(14, 2).cols
     with pytest.raises(BudgetExhausted, match=r"^no HDM\(4,14;2\) within 1230 nodes$"):
         search_hdm(14, 2, node_budget=1230)
     with pytest.raises(NoSolution):
@@ -221,7 +220,7 @@ def test_hdm_pinned(n, h):
     nodes, rows = HDM_PINS[n, h]
     events = []
     arr = search_hdm(n, h, status=events.append)
-    assert arr.entries == tuple(row + (0,) for row in rows)
+    assert rows_of(arr) == tuple(row + (0,) for row in rows)
     assert events == [{"nodes": nodes, "depth": n - h, "solutions": 1, "reason": "solution"}]
 
 
@@ -305,7 +304,7 @@ def test_deepest_admitted_searches_fit_the_recursion_limit():
         with pytest.raises(ValueError, match="recursion limit"):
             search_third_column(16, node_budget=1)
         sys.setrecursionlimit(_CALLER_FRAMES + 13)
-        assert search_hdm(14, 2).entries == tuple(row + (0,) for row in HDM_PINS[14, 2][1])
+        assert rows_of(search_hdm(14, 2)) == tuple(row + (0,) for row in HDM_PINS[14, 2][1])
         with pytest.raises(ValueError, match="recursion limit"):
             search_hdm(16, 2, node_budget=1)
     finally:
@@ -413,9 +412,9 @@ def test_searches_under_the_warm_up_run_alone(monkeypatch):
 # 12 reaches its fork at 4,106 nodes and HDM 18,2 at 4,111.
 CAPPED = {
     "third-interval": lambda cap, status: search_third_column(18, result_limit=1, status_interval=cap, status=status),
-    "hdm-interval": lambda cap, status: search_hdm(16, 2, status_interval=cap, status=status).entries,
+    "hdm-interval": lambda cap, status: search_hdm(16, 2, status_interval=cap, status=status).cols,
     "third-budget": lambda cap, status: search_third_column(12, node_budget=4105 + cap, status=status),
-    "hdm-budget": lambda cap, status: search_hdm(18, 2, node_budget=4110 + cap, status=status).entries,
+    "hdm-budget": lambda cap, status: search_hdm(18, 2, node_budget=4110 + cap, status=status).cols,
 }
 
 

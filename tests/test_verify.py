@@ -7,14 +7,14 @@ from collections import Counter
 import pytest
 
 from diffcover.construct import dm_prime
-from diffcover.core import CertificationFailed, Kind, ResidueArray, diff_counts
+from diffcover.core import CertificationFailed, Form, Kind, ResidueArray, diff_counts
 from diffcover.verify import verify_dca, verify_dm, verify_hdm
 
-from conftest import mutate
+from conftest import from_rows, mutate
 
 
 def brute_force_pair_counts(arr: ResidueArray, j: int, jp: int) -> Counter:
-    return Counter((row[j] - row[jp]) % arr.order for row in arr.entries)
+    return Counter((a - b) % arr.order for a, b in zip(arr.cols[j], arr.cols[jp]))
 
 
 def test_verify_dm_prime_5_4():
@@ -29,7 +29,7 @@ def test_verify_dm_prime_5_4():
 
 
 def test_verify_dm_degenerate_order_one():
-    arr = ResidueArray.from_rows(Kind.DM, 1, [(0, 0, 0, 0)])
+    arr = from_rows(Kind.DM, 1, [(0, 0, 0, 0)])
     report = verify_dm(arr)
     assert report.passed and report.meta["lambda"] == 1
 
@@ -37,7 +37,7 @@ def test_verify_dm_degenerate_order_one():
 def test_verify_dm_rejects_dca_structure(b_reduced):
     # The reduced golden DCA relabeled as a DM: differences are doubled at
     # 3 and miss 0, so the balance check fails at the first column pair.
-    as_dm = ResidueArray.from_rows(Kind.DM, 6, b_reduced.entries)
+    as_dm = ResidueArray(Kind.DM, 6, 0, Form.FULL, b_reduced.cols)
     report = verify_dm(as_dm)
     assert not report.passed
     witness = report.checks[0].witness
@@ -52,7 +52,7 @@ def test_verify_dm_kind_precondition(b_full):
 
 def test_verify_hdm_rejects_hole_difference():
     # Over Z_4 with hole {0, 2}: the differences of the pair are 2, 2.
-    arr = ResidueArray.from_rows(Kind.HDM, 4, [(1, 3), (3, 1)], hole=2)
+    arr = from_rows(Kind.HDM, 4, [(1, 3), (3, 1)], hole=2)
     report = verify_hdm(arr)
     assert not report.passed
     hole = report.checks[0]
@@ -62,7 +62,7 @@ def test_verify_hdm_rejects_hole_difference():
 
 def test_verify_hdm_accepts_valid():
     # Hand-checked HDM(2, 4; 2): single pair differences {1, 3}.
-    arr = ResidueArray.from_rows(Kind.HDM, 4, [(1, 0), (3, 0)], hole=2)
+    arr = from_rows(Kind.HDM, 4, [(1, 0), (3, 0)], hole=2)
     report = verify_hdm(arr)
     assert report.passed and report.meta["lambda"] == 1
     names = [c.name for c in report.checks]
@@ -71,7 +71,7 @@ def test_verify_hdm_accepts_valid():
 
 def test_verify_hdm_confinement_check():
     # Valid differences but a hole entry parked in a non-last column.
-    arr = ResidueArray.from_rows(Kind.HDM, 4, [(1, 2), (3, 0)], hole=2)
+    arr = from_rows(Kind.HDM, 4, [(1, 2), (3, 0)], hole=2)
     report = verify_hdm(arr)
     confined = [c for c in report.checks if c.name == "hole-entries-confined"]
     assert not confined[0].passed if confined else not report.passed
@@ -115,7 +115,7 @@ def test_verify_dca_coverage_only_mode(b_full):
 
 def test_verify_dca_odd_order_strict():
     rows = [(i, 0) for i in range(5)] + [(0, 0)]
-    arr = ResidueArray.from_rows(Kind.DCA, 5, rows)
+    arr = from_rows(Kind.DCA, 5, rows)
     with pytest.raises(CertificationFailed, match="^strict checks need even order, got 5$"):
         verify_dca(arr, strict=True)
     assert verify_dca(arr, strict=False).passed

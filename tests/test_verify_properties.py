@@ -14,6 +14,7 @@ from diffcover.tables import odd_even_column
 from diffcover.verify import verify_dca, verify_dm, verify_hdm
 
 import verify_oracle
+from conftest import from_rows, rows_of
 
 VERIFIERS = {Kind.DCA: verify_dca, Kind.HDM: verify_hdm, Kind.DM: verify_dm}
 ORACLES = {Kind.DCA: verify_oracle.verify_dca, Kind.HDM: verify_oracle.verify_hdm, Kind.DM: verify_oracle.verify_dm}
@@ -21,8 +22,7 @@ ORACLES = {Kind.DCA: verify_oracle.verify_dca, Kind.HDM: verify_oracle.verify_hd
 
 def _searched_dca(n: int) -> ResidueArray:
     (col2,) = search_third_column(n, result_limit=1)
-    rows = zip(range(n), odd_even_column(n), col2)
-    return ResidueArray.from_rows(Kind.DCA, n, rows, form=Form.REDUCED)
+    return ResidueArray(Kind.DCA, n, 0, Form.REDUCED, (tuple(range(n)), odd_even_column(n), col2))
 
 
 # Valid arrays of every kind with n <= 16; each passes its verifier.
@@ -47,7 +47,7 @@ def assert_agrees(arr: ResidueArray, strict: bool = False) -> dict | str:
 
 
 def with_entries(arr: ResidueArray, rows) -> ResidueArray:
-    return ResidueArray.from_rows(arr.kind, arr.order, rows, hole=arr.hole, form=arr.form)
+    return from_rows(arr.kind, arr.order, rows, hole=arr.hole, form=arr.form)
 
 
 @st.composite
@@ -55,7 +55,7 @@ def mutated(draw, pool: list[ResidueArray], first_col: int = 0) -> ResidueArray:
     """A pool array with its rows permuted or not, and 0-3 entries in
     columns ``first_col`` and later replaced."""
     arr = draw(st.sampled_from(pool))
-    rows = [list(row) for row in arr.entries]
+    rows = [list(row) for row in rows_of(arr)]
     if draw(st.booleans()):
         rows = draw(st.permutations(rows))
     for _ in range(draw(st.integers(0, 3))):
@@ -93,8 +93,8 @@ def random_array(draw, kind: Kind) -> ResidueArray:
             count = other
         else:
             with pytest.raises(ValueError, match=f" rows, got {other}$"):
-                ResidueArray.from_rows(kind, n, rows(other), hole=hole, form=form)
-    return ResidueArray.from_rows(kind, n, rows(count), hole=hole, form=form)
+                from_rows(kind, n, rows(other), hole=hole, form=form)
+    return from_rows(kind, n, rows(count), hole=hole, form=form)
 
 
 def reduced_or_full(arr: ResidueArray, full: bool) -> ResidueArray:
@@ -141,7 +141,7 @@ def test_verify_dca_later_pair_mutations(arr, full):
 def test_verify_hdm_later_pair_hole_differences(hdm, data):
     # Copying column 1 into column 2 in some rows puts the hole residue 0
     # among the differences of pair (2, 1), the third pair.
-    rows = [list(row) for row in hdm.entries]
+    rows = [list(row) for row in rows_of(hdm)]
     for i in data.draw(st.sets(st.integers(0, hdm.rows - 1), min_size=1, max_size=3)):
         rows[i][2] = rows[i][1]
     assert_agrees(with_entries(hdm, rows))
@@ -152,7 +152,7 @@ def test_profile_witness_in_a_later_pair(arr):
     # Swap two entries of the last column of the reduced array: every
     # pair it is in fails the profile, and (2, 0) is the first of them.
     full = to_full(arr)
-    rows = [list(row) for row in full.entries]
+    rows = [list(row) for row in rows_of(full)]
     rows[0][2], rows[1][2] = rows[1][2], rows[0][2]
     obj = assert_agrees(with_entries(full, rows), strict=True)
     assert obj["checks"][2]["name"] == "difference-profile"
@@ -161,7 +161,7 @@ def test_profile_witness_in_a_later_pair(arr):
 
 @pytest.mark.parametrize("hdm", VALID_HDMS, ids=lambda a: f"{a.order}-{a.hole}")
 def test_hole_witness_in_a_later_pair(hdm):
-    rows = [list(row) for row in hdm.entries]
+    rows = [list(row) for row in rows_of(hdm)]
     rows[0][2] = rows[0][1]
     obj = assert_agrees(with_entries(hdm, rows))
     assert obj["checks"][0]["name"] == "hole-avoidance"
@@ -174,7 +174,7 @@ def test_profile_reads_the_first_n_rows(arr, data):
     # The profile leaves out the last row, so any last row keeps it.
     full = to_full(arr)
     last = data.draw(st.lists(st.integers(0, arr.order - 1), min_size=4, max_size=4))
-    obj = assert_agrees(with_entries(full, full.entries[:-1] + (tuple(last),)), strict=True)
+    obj = assert_agrees(with_entries(full, rows_of(full)[:-1] + (tuple(last),)), strict=True)
     assert obj["checks"][2] == {"name": "difference-profile", "pass": True, "witness": None}
 
 
@@ -182,6 +182,6 @@ def test_profile_reads_the_first_n_rows(arr, data):
 def test_balance_witness_in_the_last_pair(p):
     # A shifted copy of column 3 in column 4 keeps every pair with
     # columns 0-2 balanced; only the last pair, (4, 3), fails.
-    rows = [row[:4] + ((row[3] + 1) % p,) for row in dm_prime(p, 5).entries]
+    rows = [row[:4] + ((row[3] + 1) % p,) for row in rows_of(dm_prime(p, 5))]
     obj = assert_agrees(with_entries(dm_prime(p, 5), rows))
     assert obj["checks"][0]["witness"]["pair"] == [4, 3]

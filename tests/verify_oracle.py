@@ -31,9 +31,10 @@ class CertificationFailed(OracleError):
 
 def multiset(a: ResidueArray, j: int, jp: int, rows: range | None = None) -> dict[int, int]:
     """Counts of column(j) - column(jp) mod n over ``rows`` (all rows by default)."""
+    entries = tuple(zip(*a.cols))
     counts: dict[int, int] = {}
     for i in rows if rows is not None else range(a.rows):
-        d = (a.entries[i][j] - a.entries[i][jp]) % a.order
+        d = (entries[i][j] - entries[i][jp]) % a.order
         counts[d] = counts.get(d, 0) + 1
     return counts
 
@@ -85,10 +86,11 @@ def verify_hdm(a: ResidueArray) -> dict:
         balance("hole-avoidance", a, {d: 0 for d in hole}),
         balance("difference-balance", a, {d: lam for d in range(n) if d not in hole}),
     ]
-    if all(row[-1] == 0 for row in a.entries):
+    entries = tuple(zip(*a.cols))
+    if all(row[-1] == 0 for row in entries):
         confined = check("hole-entries-confined")
         for j in range(a.columns - 1):
-            hits = [row[j] for row in a.entries if row[j] in hole]
+            hits = [row[j] for row in entries if row[j] in hole]
             if hits:
                 confined = check(
                     "hole-entries-confined",
@@ -119,8 +121,9 @@ def verify_dca(a: ResidueArray, strict: bool = False) -> dict:
         if full.rows != n + 1:
             raise BadShape
         zero_twice = check("zero-twice-per-column")
+        entries = tuple(zip(*full.cols))
         for j in range(full.columns):
-            zeros = sum(1 for row in full.entries if row[j] == 0)
+            zeros = sum(1 for row in entries if row[j] == 0)
             if zeros < 2:
                 zero_twice = check(
                     "zero-twice-per-column",
